@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -190,7 +190,9 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
 
     k-majority cells use the fixed-point solver (even k through the k-1
     equivalence).  Voter has no phase transition: supercritical for every
-    p > 0.  Deterministic majority has threshold 1/2.
+    p > 0.  2-majority with uniform tie-breaking follows the voter law
+    (P(R) = x^2 + x(1-x) = x), so k = 2 takes the voter attachment.
+    Deterministic majority has threshold 1/2.
     """
     if family is Family.DETERMINISTIC_MAJORITY:
         if p < 0.5:
@@ -204,12 +206,11 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
             phi_plus = 1.0 if mode is BiasMode.EDGE else 1.0 - p
         return {"regime": regime.value, "phi_minus": None, "phi_plus": phi_plus,
                 "mu": None, "p_star_k": 0.5, "p_star_kq": 0.5}
-    k_eff = 1 if family is Family.VOTER else k
-    if k_eff == 1:
+    if family is Family.VOTER or k <= 2:
         regime = None if p == 0.0 else Regime.SUPERCRITICAL.value
         return {"regime": regime, "phi_minus": None, "phi_plus": None,
                 "mu": None, "p_star_k": 0.0, "p_star_kq": 0.0}
-    k_odd = k_eff if k_eff % 2 == 1 else k_eff - 1
+    k_odd = k if k % 2 == 1 else k - 1
     fp = fixed_points(MeanFieldParams(k_odd, p, mode))
     return {
         "regime": fp.regime.value,
@@ -227,14 +228,11 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
 
 
 def _cell_graph(spec: SweepSpec, cell_index: int) -> Graph:
-    if spec.share_graph:
-        return generate(spec.graph_spec)
+    """A fresh graph for one cell of a sweep that does not share its graph."""
     digest = hashlib.blake2b(
         f"graph|{spec.base_seed}|{cell_index}".encode(), digest_size=8
     ).digest()
     seed = int.from_bytes(digest, "big")
-    from dataclasses import replace
-
     return generate(replace(spec.graph_spec, seed=seed))
 
 

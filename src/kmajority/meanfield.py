@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 __all__ = [
     "MAX_K",
@@ -52,8 +51,9 @@ __all__ = [
     "trajectory",
 ]
 
-# Exact pmf summation is capped here; beyond this the dyadic anchors get slow
-# and the tool makes no accuracy promises.
+# Largest supported sample size.  An exact anchor multiplies integers of up to
+# s*k bits, where theta = a / 2^s (s <= 1074), so its cost grows faster than
+# linearly in k; the tail error bound of binom_tail_geq is stated up to here.
 MAX_K = 10_000
 
 DEFAULT_TOL = 1e-10
@@ -150,12 +150,22 @@ def _pmf_anchor(k: int, i: int, theta: float) -> float:
     """C(k,i) theta^i (1-theta)^(k-i), correctly rounded.
 
     theta is a double, hence an exact dyadic rational a / 2^s; the pmf is the
-    exact rational comb * a^i * (2^s - a)^(k-i) / 2^(s k), converted to float
-    with a single correctly-rounded division.
+    exact rational comb * a^i * (2^s - a)^(k-i) / 2^(s k).  The two powers
+    share the factor (a (2^s - a))^min(i, k-i), computed once.  The
+    denominator b^k with b = 2^s is the single bit 1 << s*k, so it is built
+    by a shift rather than by raising b to the k-th power.
+
+    CPython's int / int divides the exact integers, not float images of
+    them, and rounds the exact quotient once (round-half-even, with gradual
+    underflow to subnormals and 0.0), so the rational needs no gcd reduction
+    before the single correctly-rounded division.
     """
     a, b = theta.as_integer_ratio()
-    num = math.comb(k, i) * a**i * (b - a) ** (k - i)
-    return float(Fraction(num, b**k))
+    s = b.bit_length() - 1  # b == 2**s
+    c = b - a
+    m = min(i, k - i)
+    num = math.comb(k, i) * (a * c) ** m * a ** (i - m) * c ** (k - i - m)
+    return num / (1 << (s * k))
 
 
 def binom_pmf(k: int, i: int, theta: float) -> float:

@@ -187,6 +187,23 @@ class TestSweepCommand:
         assert runs.exists() and summary.exists()
         assert json.loads(summary.read_text())["schema"] == 1
 
+    def test_k2_takes_voter_attachment(self, capsys, tmp_path):
+        # 2-majority with fair tie coins follows the voter law, so its cells
+        # carry the voter attachment instead of reaching the k=1 solver.
+        grid = {"graph": "complete:n=50", "p_grid": [0.05], "replicas": 2}
+        cfg = self.config(tmp_path, k=[2], **grid)
+        run_json(capsys, "sweep", "--config", str(cfg))
+        results = tmp_path / "results"
+        assert (results / "runs.csv").exists()
+        cells = json.loads((results / "summary.json").read_text())["cells"]
+        voter_cfg = self.config(tmp_path, family="voter", k=[1], **grid,
+                                out=str(tmp_path / "voter"))
+        run_json(capsys, "sweep", "--config", str(voter_cfg))
+        voter = json.loads((tmp_path / "voter" / "summary.json").read_text())["cells"]
+        assert cells[0]["k"] == 2
+        assert cells[0]["meanfield"] == voter[0]["meanfield"]
+        assert cells[0]["meanfield"]["regime"] == "supercritical"
+
     def test_rerun_byte_identical(self, capsys, tmp_path):
         cfg = self.config(tmp_path)
         run_json(capsys, "sweep", "--config", str(cfg))

@@ -158,6 +158,24 @@ class TestBinomTail:
         for k, i, theta in [(3, 2, 0.6), (10, 5, 0.123), (100, 37, 0.37), (1000, 500, 0.5)]:
             assert binom_pmf(k, i, theta) == pytest.approx(pmf_fraction(k, i, theta), rel=1e-15)
 
+    @pytest.mark.parametrize("k, i, theta", [
+        (7, 0, 0.3),                 # i = 0
+        (7, 7, 0.3),                 # i = k
+        (100, 37, 0.37),             # i < k - i
+        (100, 63, 0.37),             # i > k - i
+        (101, 50, 0.5),              # theta = 1/2
+        (1000, 500, 0.5),
+        (3, 1, 5e-324),              # subnormal theta
+        (5, 1, 1e-310),
+        (10, 10, 1e-40),             # exact value 1e-400 underflows to 0.0
+        (3, 3, 5e-324),
+        (MAX_K, MAX_K // 2, 0.5),    # cap size at the mode
+        (MAX_K, 3000, 0.3),
+    ])
+    def test_pmf_bit_exact(self, k, i, theta):
+        # The anchor is the correctly rounded exact rational: equal, not close.
+        assert binom_pmf(k, i, theta) == pmf_fraction(k, i, theta)
+
 
 class TestEvalF:
     def test_known_fixed_point_k3(self):
