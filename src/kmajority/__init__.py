@@ -24,6 +24,7 @@ from kmajority.graph import (
     Graph,
     GraphConstructionError,
     GraphFormatError,
+    GraphKind,
     GraphSpec,
     density_report,
     generate,

@@ -28,7 +28,6 @@ import jsonschema
 from kmajority.dynamics import (
     DynamicsParams,
     Family,
-    default_max_rounds,
     init_random,
     run,
 )
@@ -47,6 +46,7 @@ from kmajority.graph import (
     save_edge_list,
 )
 from kmajority.meanfield import (
+    DEFAULT_TOL,
     BiasMode,
     MeanFieldParams,
     critical_bias_k,
@@ -55,7 +55,6 @@ from kmajority.meanfield import (
     trajectory,
 )
 
-_DEFAULT_TOL = 1e-10
 _DEFAULT_GAMMA = 0.02
 
 
@@ -81,21 +80,13 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _mode(text: str) -> BiasMode:
-    return BiasMode(text)
-
-
-def _family(text: str) -> Family:
-    return Family(text)
-
-
 # ---------------------------------------------------------------------------
 # meanfield / critical
 # ---------------------------------------------------------------------------
 
 
 def _cmd_meanfield(args) -> int:
-    params = MeanFieldParams(args.k, args.p, _mode(args.mode))
+    params = MeanFieldParams(args.k, args.p, BiasMode(args.mode))
     doc = {"schema": 1, "k": args.k, "p": args.p, "mode": args.mode,
            "tolerance": args.tol}
     if args.k % 2 == 1:
@@ -141,22 +132,21 @@ def _cmd_critical(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_params(args, max_rounds: int | None) -> DynamicsParams:
-    family = _family(args.family)
+def _build_params(args) -> DynamicsParams:
+    family = Family(args.family)
     k = args.k if family is Family.KMAJORITY else None
     if family is Family.KMAJORITY and args.k is None:
         raise _UsageError("--family kmaj requires --k")
     if family is not Family.KMAJORITY and args.k is not None:
         raise _UsageError(f"--k is not a parameter of the {family.value} family")
-    return DynamicsParams(family=family, p=args.p, mode=_mode(args.mode),
-                          seed=args.seed, k=k, max_rounds=max_rounds)
+    return DynamicsParams(family=family, p=args.p, mode=BiasMode(args.mode),
+                          seed=args.seed, k=k, max_rounds=args.max_rounds)
 
 
 def _cmd_simulate(args) -> int:
     spec = parse_graph_spec(args.graph, seed=args.seed)
     graph = generate(spec)
-    max_rounds = args.max_rounds if args.max_rounds is not None else default_max_rounds(graph.n)
-    params = _build_params(args, max_rounds)
+    params = _build_params(args)
     config0 = init_random(graph, args.q, args.seed)
     record = run(graph, config0, params, record_phi=args.phi_detail)
     report = density_report(graph)
@@ -174,7 +164,7 @@ def _cmd_simulate(args) -> int:
             "p": params.p,
             "mode": params.mode.value,
             "q": args.q,
-            "max_rounds": max_rounds,
+            "max_rounds": record.max_rounds,
         },
         "graph": {
             "spec": spec.label(),
@@ -204,7 +194,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     spec = parse_graph_spec(args.graph, seed=args.seed)
     graph = generate(spec)
-    params = DynamicsParams(family=Family.KMAJORITY, p=args.p, mode=_mode(args.mode),
+    params = DynamicsParams(family=Family.KMAJORITY, p=args.p, mode=BiasMode(args.mode),
                             seed=args.seed, k=args.k)
     report = meanfield_comparison(graph, params, args.q0, args.rounds, args.gamma)
     _emit({
@@ -377,14 +367,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["edge", "node"], default="edge", help="bias mechanism")
     p.add_argument("--q0", type=float, default=None, help="initial value for the orbit")
     p.add_argument("--rounds", type=int, default=200, help="orbit length when --q0 is given")
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_meanfield)
 
     p = sub.add_parser("critical", formatter_class=fmt,
                        help="critical bias p*_k and optionally p*_{k,q}")
     p.add_argument("--k", type=int, required=True, help="sample size (odd, >= 3)")
     p.add_argument("--q", type=float, default=None, help="initial majority level in (1/2,1]")
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("simulate", formatter_class=fmt,

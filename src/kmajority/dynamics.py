@@ -131,10 +131,10 @@ class RunRecord:
     """Outcome of one replica.
 
     ``tau`` is the first round whose B volume fraction strictly exceeds 1/2;
-    when the round cap was reached with the R majority intact, ``tau`` is
-    None and ``censored`` is True (the cap is then a lower bound on the true
-    disruption time).  ``trajectory`` holds the R volume fraction for every
-    simulated round, index 0 included.
+    when the round cap ``max_rounds`` was reached with the R majority
+    intact, ``tau`` is None and ``censored`` is True (the cap is then a
+    lower bound on the true disruption time).  ``trajectory`` holds the R
+    volume fraction for every simulated round, index 0 included.
     """
 
     tau: int | None
@@ -142,6 +142,7 @@ class RunRecord:
     trajectory: list[float]
     seed: int
     params: DynamicsParams
+    max_rounds: int
     phi_min: list[float] | None = None
     phi_max: list[float] | None = None
 
@@ -227,83 +228,58 @@ def phi_stats(graph: Graph, config: Configuration) -> tuple[float, float, float]
 # ---------------------------------------------------------------------------
 
 
-def _sampling_cols(k: int, mode: BiasMode) -> int:
-    cols = k                      # neighbor picks
-    if mode is BiasMode.EDGE:
-        cols += k                 # per-sample Z-channel draws
-    if k % 2 == 0:
-        cols += 1                 # tie coin
-    if mode is BiasMode.NODE:
-        cols += 1                 # corruption draw
+def _has_tie_coin(k: int | None) -> bool:
+    # deterministic majority ties at any even degree, k-majority at even k
+    return k is None or k % 2 == 0
+
+
+def _block_cols(params: DynamicsParams) -> int:
+    """Width of the round block.
+
+    Row u of the block is node u's substream, laid out as: its sampling
+    draws, then the tie coin, then (node mode) the corruption draw.  The
+    sampling draws of k-majority and voter are k neighbor picks followed,
+    in edge mode, by k Z-channel draws; deterministic majority has one
+    inverse-CDF draw of its perceived R count in edge mode and none in
+    node mode.
+    """
+    k = params.sample_size
+    node = params.mode is BiasMode.NODE
+    if k is None:
+        cols = 0 if node else 1
+    else:
+        cols = k if node else 2 * k
+    if _has_tie_coin(k):
+        cols += 1
+    if node:
+        cols += 1
     return cols
 
 
-def _k_majority_new_states(
-    graph: Graph,
-    states: np.ndarray,
-    p: float,
-    mode: BiasMode,
-    k: int,
-    block: np.ndarray,
-    nodes: np.ndarray,
+def _new_states(
+    graph: Graph, states: np.ndarray, params: DynamicsParams, block: np.ndarray
 ) -> np.ndarray:
-    """New states for the given nodes; reads only their rows of the block.
-
-    Column layout of a row: k neighbor picks, then (edge mode) k noise
-    draws, then the tie coin for even k, then (node mode) the corruption
-    draw.
-    """
-    rows = block[nodes]
-    deg = graph.degrees[nodes]
-    offs = graph.offsets[:-1][nodes]
-    pick = (rows[:, :k] * deg[:, None]).astype(np.int64)
-    sampled = states[graph.neighbors[offs[:, None] + pick]]
-    col = k
-    if mode is BiasMode.EDGE:
-        seen = sampled & (rows[:, col : col + k] >= p)
-        col += k
+    """New state of every node; node u reads only row u of the block."""
+    k = params.sample_size
+    node = params.mode is BiasMode.NODE
+    if k is None:
+        count = r_neighbor_counts(graph, states)
+        if not node:
+            count = _binomial_icdf(count, 1.0 - params.p, block[:, 0])
+        size = graph.degrees
     else:
-        seen = sampled
-    r_count = seen.sum(axis=1)
-    if k % 2 == 0:
-        new = r_count > k // 2
-        ties = r_count == k // 2
-        new |= ties & (rows[:, col] < 0.5)
-        col += 1
-    else:
-        new = r_count >= (k + 1) // 2
-    if mode is BiasMode.NODE:
-        new &= rows[:, col] >= p
-    return new
-
-
-def _det_majority_new_states(
-    graph: Graph,
-    r_counts: np.ndarray,
-    p: float,
-    mode: BiasMode,
-    block: np.ndarray,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """Deterministic-majority update for the given nodes.
-
-    Edge mode: perceived R count is Bin(#R-neighbors, 1-p) from column 0,
-    tie coin in column 1.  Node mode: tie coin in column 0, corruption draw
-    in column 1.
-    """
-    rows = block[nodes]
-    deg = graph.degrees[nodes]
-    counts = r_counts[nodes]
-    if mode is BiasMode.EDGE:
-        perceived = _binomial_icdf(counts, 1.0 - p, rows[:, 0])
-        twice = 2 * perceived
-        new = twice > deg
-        new |= (twice == deg) & (rows[:, 1] < 0.5)
-    else:
-        twice = 2 * counts
-        new = twice > deg
-        new |= (twice == deg) & (rows[:, 0] < 0.5)
-        new &= rows[:, 1] >= p
+        pick = (block[:, :k] * graph.degrees[:, None]).astype(np.int64)
+        seen = states[graph.neighbors[graph.offsets[:-1, None] + pick]]
+        if not node:
+            seen &= block[:, k : 2 * k] >= params.p
+        count = seen.sum(axis=1)
+        size = k
+    twice = 2 * count
+    new = twice > size
+    if _has_tie_coin(k):
+        new |= (twice == size) & (block[:, -2 if node else -1] < 0.5)
+    if node:
+        new &= block[:, -1] >= params.p
     return new
 
 
@@ -312,19 +288,11 @@ def step(graph: Graph, config: Configuration, params: DynamicsParams) -> Configu
     function of the round-t configuration only)."""
     n = graph.n
     t = config.round_index
-    states = config.states
     if config.r_volume == 0:
         # all-B is absorbing; no randomness can resurrect R
         return Configuration(states=np.zeros(n, dtype=bool), r_volume=0, round_index=t + 1)
-    nodes = np.arange(n)
-    if params.family is Family.DETERMINISTIC_MAJORITY:
-        block = _round_block(n, 2, params.seed, t)
-        counts = r_neighbor_counts(graph, states)
-        new = _det_majority_new_states(graph, counts, params.p, params.mode, block, nodes)
-    else:
-        k = params.sample_size
-        block = _round_block(n, _sampling_cols(k, params.mode), params.seed, t)
-        new = _k_majority_new_states(graph, states, params.p, params.mode, k, block, nodes)
+    block = _round_block(n, _block_cols(params), params.seed, t)
+    new = _new_states(graph, config.states, params, block)
     return Configuration(
         states=new, r_volume=int(graph.degrees @ new), round_index=t + 1
     )
@@ -357,7 +325,9 @@ def run(
 ) -> RunRecord:
     """Iterate until the initial majority is disrupted or the round cap hits.
 
-    The disruption check runs on the initial configuration too (an all-B
+    The cap is ``params.max_rounds``, or ``default_max_rounds(graph.n)``
+    when that is None; the record carries the cap it ran under.  The
+    disruption check runs on the initial configuration too (an all-B
     start has tau = 0 with zero steps executed).
     """
     max_rounds = params.max_rounds
@@ -390,6 +360,7 @@ def run(
         trajectory=trajectory,
         seed=params.seed,
         params=params,
+        max_rounds=max_rounds,
         phi_min=phi_min,
         phi_max=phi_max,
     )

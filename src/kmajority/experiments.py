@@ -27,7 +27,6 @@ import numpy as np
 from kmajority.dynamics import (
     DynamicsParams,
     Family,
-    default_max_rounds,
     init_random,
     r_neighbor_counts,
     run,
@@ -35,6 +34,7 @@ from kmajority.dynamics import (
 )
 from kmajority.graph import Graph, GraphSpec, generate
 from kmajority.meanfield import (
+    MAX_K,
     BiasMode,
     MeanFieldParams,
     Regime,
@@ -96,6 +96,8 @@ class SweepSpec:
             for k in self.k_values:
                 if k is None or k < 1:
                     raise ValueError(f"k-majority sweep needs integer k >= 1, got {k!r}")
+                if k > MAX_K:
+                    raise ValueError(f"sample size k={k} exceeds the supported cap {MAX_K}")
 
     def cells(self) -> list[tuple[int | None, float, float]]:
         out = []
@@ -192,7 +194,8 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
     equivalence).  Voter has no phase transition: supercritical for every
     p > 0.  2-majority with uniform tie-breaking follows the voter law
     (P(R) = x^2 + x(1-x) = x), so k = 2 takes the voter attachment.
-    Deterministic majority has threshold 1/2.
+    Deterministic majority has threshold 1/2.  p*_{k,q} is defined for an
+    initial majority q > 1/2 only; cells with q <= 1/2 carry None.
     """
     if family is Family.DETERMINISTIC_MAJORITY:
         if p < 0.5:
@@ -218,7 +221,7 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
         "phi_plus": fp.phi_plus,
         "mu": fp.mu,
         "p_star_k": _cached_critical(k_odd),
-        "p_star_kq": _cached_critical_q(k_odd, q),
+        "p_star_kq": _cached_critical_q(k_odd, q) if q > 0.5 else None,
     }
 
 
@@ -247,9 +250,6 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
             graph = shared if shared is not None else _cell_graph(spec, cell_index)
         except Exception as exc:
             raise RuntimeError(f"{where}: graph generation failed: {exc}") from exc
-        max_rounds = spec.max_rounds
-        if max_rounds is None:
-            max_rounds = default_max_rounds(graph.n)
         seeds, taus, finals = [], [], []
         censored = 0
         for replica in range(spec.replicas):
@@ -259,10 +259,11 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
             all_seeds.add(seed)
             try:
                 params = DynamicsParams(family=spec.family, p=p, mode=spec.mode,
-                                        seed=seed, k=k, max_rounds=max_rounds)
+                                        seed=seed, k=k, max_rounds=spec.max_rounds)
                 record = run(graph, init_random(graph, q, seed), params)
             except Exception as exc:
                 raise RuntimeError(f"{where}, replica {replica}: {exc}") from exc
+            max_rounds = record.max_rounds
             seeds.append(seed)
             taus.append(record.tau)
             finals.append(record.final_r_fraction)

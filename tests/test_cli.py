@@ -204,6 +204,24 @@ class TestSweepCommand:
         assert cells[0]["meanfield"] == voter[0]["meanfield"]
         assert cells[0]["meanfield"]["regime"] == "supercritical"
 
+    def test_q_at_most_half_has_no_q_threshold(self, capsys, tmp_path):
+        # p*_{k,q} exists for q > 1/2 only; such cells used to crash the
+        # sweep after simulating instead of carrying null
+        cfg = self.config(tmp_path, graph="complete:n=50", p_grid=[0.05],
+                          q_grid=[0.5, 0.3], replicas=2)
+        run_json(capsys, "sweep", "--config", str(cfg))
+        cells = json.loads((tmp_path / "results" / "summary.json").read_text())["cells"]
+        assert [c["meanfield"]["p_star_kq"] for c in cells] == [None, None]
+        assert all(c["meanfield"]["p_star_k"] > 0.11 for c in cells)
+
+    def test_k_above_cap_rejected_before_running(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, graph="complete:n=20", k=[3, 10001], p_grid=[0.3],
+                          replicas=1, max_rounds=1)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "10000" in json.loads(err.splitlines()[-1])["error"]
+        assert not (tmp_path / "results").exists()
+
     def test_rerun_byte_identical(self, capsys, tmp_path):
         cfg = self.config(tmp_path)
         run_json(capsys, "sweep", "--config", str(cfg))

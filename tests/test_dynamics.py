@@ -10,10 +10,9 @@ from kmajority.dynamics import (
     Family,
     _binom_cdf_table,
     _binomial_icdf,
-    _det_majority_new_states,
-    _k_majority_new_states,
+    _block_cols,
+    _new_states,
     _round_block,
-    _sampling_cols,
     default_max_rounds,
     init_random,
     make_configuration,
@@ -153,36 +152,33 @@ class TestStep:
 
 
 class TestSynchronyOrderIndependence:
-    """Per-node substreams: results are bit-identical no matter how the node
-    set is partitioned or permuted within a round."""
+    """Per-node substreams: node u reads only row u of the round block, so
+    redrawing every other row leaves u's new state bit-identical."""
+
+    @staticmethod
+    def check_rows_are_substreams(params):
+        g = generate(GraphSpec(GraphKind.GNP, n=257, edge_prob=0.2, seed=6))
+        cfg = init_random(g, 0.8, params.seed)
+        block = _round_block(g.n, _block_cols(params), params.seed, cfg.round_index)
+        full = _new_states(g, cfg.states, params, block)
+        assert np.array_equal(step(g, cfg, params).states, full)
+        rng = np.random.default_rng(99)
+        for _ in range(5):
+            subset = rng.random(g.n) < 0.3
+            redrawn = rng.random(block.shape)
+            redrawn[subset] = block[subset]
+            out = _new_states(g, cfg.states, params, redrawn)
+            assert np.array_equal(out[subset], full[subset])
 
     @pytest.mark.parametrize("mode", [EDGE, NODE])
     @pytest.mark.parametrize("k", [3, 4])
     def test_k_majority(self, mode, k):
-        g = generate(GraphSpec(GraphKind.GNP, n=257, edge_prob=0.2, seed=6))
-        cfg = init_random(g, 0.8, 21)
-        block = _round_block(g.n, _sampling_cols(k, mode), 21, cfg.round_index)
-        full = _k_majority_new_states(g, cfg.states, 0.15, mode, k, block, np.arange(g.n))
-        rng = np.random.default_rng(99)
-        out = np.empty(g.n, dtype=bool)
-        for chunk in np.array_split(rng.permutation(g.n), 7):
-            out[chunk] = _k_majority_new_states(g, cfg.states, 0.15, mode, k, block, chunk)
-        assert np.array_equal(out, full)
-        params = DynamicsParams(family=Family.KMAJORITY, p=0.15, mode=mode, seed=21, k=k)
-        assert np.array_equal(step(g, cfg, params).states, full)
+        self.check_rows_are_substreams(kmaj(0.15, mode, 21, k))
 
     @pytest.mark.parametrize("mode", [EDGE, NODE])
     def test_deterministic_majority(self, mode):
-        g = generate(GraphSpec(GraphKind.GNP, n=257, edge_prob=0.2, seed=6))
-        cfg = init_random(g, 0.8, 22)
-        counts = r_neighbor_counts(g, cfg.states)
-        block = _round_block(g.n, 2, 22, cfg.round_index)
-        full = _det_majority_new_states(g, counts, 0.3, mode, block, np.arange(g.n))
-        rng = np.random.default_rng(98)
-        out = np.empty(g.n, dtype=bool)
-        for chunk in np.array_split(rng.permutation(g.n), 5):
-            out[chunk] = _det_majority_new_states(g, counts, 0.3, mode, block, chunk)
-        assert np.array_equal(out, full)
+        self.check_rows_are_substreams(
+            DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.3, mode=mode, seed=22))
 
 
 class TestBinomialSampler:
