@@ -237,7 +237,8 @@ def _block_cols(params: DynamicsParams) -> int:
     """Width of the round block.
 
     Row u of the block is node u's substream, laid out as: its sampling
-    draws, then the tie coin, then (node mode) the corruption draw.  The
+    draws, then the tie coin (deterministic majority and even k), then
+    (node mode) the corruption draw.  The
     sampling draws of k-majority and voter are k neighbor picks followed,
     in edge mode, by k Z-channel draws; deterministic majority has one
     inverse-CDF draw of its perceived R count in edge mode and none in

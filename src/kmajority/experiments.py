@@ -263,11 +263,11 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
                 record = run(graph, init_random(graph, q, seed), params)
             except Exception as exc:
                 raise RuntimeError(f"{where}, replica {replica}: {exc}") from exc
-            max_rounds = record.max_rounds
             seeds.append(seed)
             taus.append(record.tau)
             finals.append(record.final_r_fraction)
             censored += int(record.censored)
+        max_rounds = record.max_rounds  # the cell's replicas share one graph, so one cap
         bounded = [max_rounds if t is None else t for t in taus]
         summaries.append(CellSummary(
             k=k, p=p, q=q, family=spec.family, mode=spec.mode,
