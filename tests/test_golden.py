@@ -2,7 +2,8 @@
 
 Mean-field values are pinned by the float.hex() of what the analyzer
 returned.  Seeded engine outputs (``simulate``, ``compare`` and ``sweep``
-through the CLI) are pinned by sha256 digests of the bytes they write.  A
+through the CLI) and the ``meanfield`` and ``critical`` CLI reports are
+pinned by sha256 digests of the bytes they write.  A
 change that moves any of them changes what the tool computes and must say
 so; a refactor that shifts a single random draw fails here.
 """
@@ -235,3 +236,76 @@ def test_sweep_digest(name, capsys, tmp_path):
     for path in (out / "runs.csv", out / "summary.json"):
         h.update(path.read_bytes())
     assert h.hexdigest() == SWEEP_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Mean-field CLI outputs
+# ---------------------------------------------------------------------------
+
+# k|mode|p, with one p below and one above p*_k (1/9, 0.1651, 0.3894), plus
+# one even-k orbit
+MEANFIELD_DIGESTS = {
+    "3|edge|0.1":
+        "4df646bb40ef865d3cf2ffbb49aa08ff0807a50a5d230f5bdf78838904553b93",
+    "3|edge|0.12":
+        "2f2a27d6ab2424a065e656d3664d6291bee38f931214be8440eae994433b2e84",
+    "3|node|0.1":
+        "ab5c33511304274f505fdf8f9301f72e53859fa914629ab7cc9eab8a2f3bc63c",
+    "3|node|0.12":
+        "d5262444f2c614908644b732f72bd73db02ca0c313b50806d0a536e817621571",
+    "5|edge|0.15":
+        "47e95c34fed566c66b5f53b6ae0666d1550657bad493811c5cf009d285988241",
+    "5|edge|0.18":
+        "eed459044d292e5ea7d46581c21b35fccede81a67e1e31569e11e2346e03cc82",
+    "5|node|0.15":
+        "d32094dda001723c6804c77bfbb6636d69f37d7e02c2dda8686b3bc03633cfe1",
+    "5|node|0.18":
+        "6972bc12674b96d2bacfc7d068a6446e1c53d825635b4447054b9a6971fb6aa1",
+    "101|edge|0.38":
+        "0da625f8a14a59b23993a632a454a8540ad649374761e2946d1d4b5b98bd6730",
+    "101|edge|0.4":
+        "72cc0a1103f01f60a4197c809c16f22cd6d7e5583048f7d75f799bf0c9582c55",
+    "101|node|0.38":
+        "094005def3506b796a34ca3592e336de8e94be1aabc4a7b6a7a878a70e8f73f1",
+    "101|node|0.4":
+        "667961fb238cbd2a0cc44d1223f31028e77fdd2a689ea19a2475c47d0221a5f9",
+    "4|edge|0.1|0.9":
+        "9ca38b52a966069dd394082fbac0fffdde5d741175398578c00efc237d9e6800",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEANFIELD_DIGESTS))
+def test_meanfield_digest(case, capsys):
+    k, mode, p, *q0 = case.split("|")
+    argv = ["meanfield", "--k", k, "--p", p, "--mode", mode]
+    if q0:
+        argv += ["--q0", q0[0], "--rounds", "30"]
+    assert _cli_digest(capsys, argv) == MEANFIELD_DIGESTS[case]
+
+
+# k|q, "-" for p*_k alone
+CRITICAL_DIGESTS = {
+    "3|-": "88dda79518148f606f90e84e227d2712f5e4b378e754b4bdc64f4e748eaf9348",
+    "3|0.6": "0c9337058d9adebfa6ded308ecc71e6356a6271c4fc24d85d8c0bd328e0ef16b",
+    "3|0.9": "cba61f8d679940cec52a42d658b33d4e19eaa18c350e411c074f084743b11fe2",
+    "3|1.0": "b19bcc7f56b5e8573e1b8930a4634ccf9cf1ff588de0bfac46b9c156a1d49d53",
+    "5|-": "e9b22b7b4e235849d5d03efbda17dde75d590cdafd76b22b5a037d7b7f71ea27",
+    "5|0.6": "6bbfb8303b3b999554b082fed32c2de75eda6c84548df31a3e12e59eb28aee1e",
+    "5|0.9": "10e53c99863f7f1cbead9f0b111884b5a3fc50b0e29fe56d7d0be6e839c90d2f",
+    "5|1.0": "81c1c3112973ba9767f15397b7d9dc23ebd4dedf3c7056bbdda3d54d5c299847",
+    "101|-": "99024770efe4c69ac6a6cfc832d5ea084d12ba1512f8b95a8e3b57e476d65b48",
+    "101|0.6": "45f97fad423e2950e97bfca643d51732e3930e5d22b132d9ac44e8d4d712f782",
+    "101|0.9": "74fe2beeac6622ab47db5eb9d89917c7bca4ef1bf3e20ae6456c00d1a4175836",
+    "101|1.0": "128de1a217049ec2a59e362628fc58e8944e35e53ecba4a2519ab9f2fc5ea4b7",
+    "257|-": "b3eebea89443f439b30ba07a13eda2ab0c0debe178df75c3e127da156867f598",
+    "257|0.6": "c1616c4081acdf834e1567045e2f7096fd85e7ed91e249ed817b3117f3aae0b6",
+    "257|0.9": "43d9c5a97a5a96285f5bd0928dc46beaf686f0504e80bbe363dc8968f5107f44",
+    "257|1.0": "8ea5865cb260f72bf378c23de8b041437d6912e71ce1752e93b548fe725a1fd0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRITICAL_DIGESTS))
+def test_critical_digest(case, capsys):
+    k, q = case.split("|")
+    argv = ["critical", "--k", k] + ([] if q == "-" else ["--q", q])
+    assert _cli_digest(capsys, argv) == CRITICAL_DIGESTS[case]
