@@ -10,9 +10,10 @@ compare    per-round sup-node deviation from the mean-field orbit
 graphgen   materialize a graph spec into an edge-list file
 
 Conventions: structured results go to stdout as JSON carrying "schema": 1;
-errors go to stderr as JSON; exit codes are 0 (ok), 2 (usage), 1 (runtime
-failure).  All randomness derives from the --seed flag (or the config's
-base_seed), never from the environment.
+errors go to stderr as JSON; exit codes are 0 (ok), 2 (input rejected
+before any work: flags, config, or parameters the dataclasses refuse), 1
+(runtime failure).  All randomness derives from the --seed flag (or the
+config's base_seed), never from the environment.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ from kmajority.meanfield import (
 _DEFAULT_GAMMA = 0.02
 
 
-class _UsageError(ValueError):
-    """Flag-level validation failure: exit 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports errors as machine-readable JSON on stderr."""
 
@@ -91,7 +88,7 @@ def _cmd_meanfield(args) -> int:
            "tolerance": args.tol}
     if args.k % 2 == 1:
         if args.k == 1:
-            raise _UsageError("k = 1 (voter) has a linear map with no nontrivial fixed points")
+            raise ValueError("k = 1 (voter) has a linear map with no nontrivial fixed points")
         fp = fixed_points(params, tol=args.tol)
         doc.update({
             "regime": fp.regime.value,
@@ -101,7 +98,7 @@ def _cmd_meanfield(args) -> int:
             "mu": fp.mu,
         })
     elif args.q0 is None:
-        raise _UsageError(
+        raise ValueError(
             "fixed-point solving requires odd k; for even k give --q0 to get the orbit"
         )
     if args.q0 is not None:
@@ -132,21 +129,11 @@ def _cmd_critical(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_params(args) -> DynamicsParams:
-    family = Family(args.family)
-    k = args.k if family is Family.KMAJORITY else None
-    if family is Family.KMAJORITY and args.k is None:
-        raise _UsageError("--family kmaj requires --k")
-    if family is not Family.KMAJORITY and args.k is not None:
-        raise _UsageError(f"--k is not a parameter of the {family.value} family")
-    return DynamicsParams(family=family, p=args.p, mode=BiasMode(args.mode),
-                          seed=args.seed, k=k, max_rounds=args.max_rounds)
-
-
 def _cmd_simulate(args) -> int:
+    params = DynamicsParams(family=Family(args.family), p=args.p, mode=BiasMode(args.mode),
+                            seed=args.seed, k=args.k, max_rounds=args.max_rounds)
     spec = parse_graph_spec(args.graph, seed=args.seed)
     graph = generate(spec)
-    params = _build_params(args)
     config0 = init_random(graph, args.q, args.seed)
     record = run(graph, config0, params, record_phi=args.phi_detail)
     report = density_report(graph)
@@ -297,26 +284,15 @@ def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         details = "; ".join(f"{_json_pointer(e)}: {e.message}" for e in errors)
-        raise _UsageError(f"sweep config invalid: {details}")
+        raise ValueError(f"sweep config invalid: {details}")
     family = Family(raw.get("family", "kmaj"))
-    mode = BiasMode(raw.get("mode", "edge"))
-    if family is Family.KMAJORITY:
-        if "k" not in raw:
-            raise _UsageError("sweep config invalid: /k: required for family 'kmaj'")
-        k_values = tuple(raw["k"])
-    elif family is Family.VOTER:
-        k_values = (1,)
-        if raw.get("k") not in (None, [1]):
-            raise _UsageError("sweep config invalid: /k: voter runs with k = 1 only")
-    else:
-        if raw.get("k") is not None:
-            raise _UsageError("sweep config invalid: /k: deterministic majority takes no k")
-        k_values = (None,)
+    # voter defaults to k = 1, not None: the replica seeds hash k
+    k_values = tuple(raw.get("k", [1] if family is Family.VOTER else [None]))
     graph_spec = parse_graph_spec(raw["graph"], seed=raw.get("graph_seed", raw["base_seed"]))
     spec = SweepSpec(
         graph_spec=graph_spec,
         family=family,
-        mode=mode,
+        mode=BiasMode(raw.get("mode", "edge")),
         k_values=k_values,
         p_values=_expand_p_grid(raw["p_grid"]),
         q_values=tuple(float(q) for q in raw["q_grid"]),
@@ -430,9 +406,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        _emit_error(str(exc))
-        return 2
     except GraphFormatError as exc:
         _emit_error(str(exc))
         return 1

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from kmajority.graph import Graph
-from kmajority.meanfield import BiasMode, binom_pmf
+from kmajority.meanfield import MAX_K, BiasMode, binom_pmf
 
 __all__ = [
     "Family",
@@ -329,8 +329,17 @@ def run(
     The cap is ``params.max_rounds``, or ``default_max_rounds(graph.n)``
     when that is None; the record carries the cap it ran under.  The
     disruption check runs on the initial configuration too (an all-B
-    start has tau = 0 with zero steps executed).
+    start has tau = 0 with zero steps executed).  Deterministic majority
+    with edge bias draws Bin(degree, 1-p) read counts from exact tables,
+    so it is rejected up front on a graph with a degree above MAX_K.
     """
+    if params.family is Family.DETERMINISTIC_MAJORITY and params.mode is BiasMode.EDGE:
+        u = int(np.argmax(graph.degrees))
+        if graph.degrees[u] > MAX_K:
+            raise ValueError(
+                f"deterministic majority with edge bias supports degrees up to {MAX_K}; "
+                f"node {u} has degree {graph.degrees[u]}"
+            )
     max_rounds = params.max_rounds
     if max_rounds is None:
         max_rounds = default_max_rounds(graph.n)

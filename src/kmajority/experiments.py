@@ -76,28 +76,25 @@ class SweepSpec:
     share_graph: bool = True
 
     def __post_init__(self) -> None:
+        """Grid-level checks; each (k, p) pair is validated by DynamicsParams,
+        the one owner of the family/k rule, the bias range and the round cap."""
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if not self.p_values or not self.q_values or not self.k_values:
-            raise ValueError("k, p, and q grids must all be non-empty")
-        for p in self.p_values:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"bias grid value {p!r} outside [0, 1]")
+        for name, grid in (("k", self.k_values), ("p", self.p_values), ("q", self.q_values)):
+            if not grid:
+                raise ValueError("k, p, and q grids must all be non-empty")
+            # equal values would give equal replica seeds
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} grid values must be distinct, got {list(grid)}")
         for q in self.q_values:
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"initialization grid value {q!r} outside [0, 1]")
-        if self.family is Family.DETERMINISTIC_MAJORITY:
-            if tuple(self.k_values) != (None,):
-                raise ValueError("deterministic majority sweeps take k_values=(None,)")
-        elif self.family is Family.VOTER:
-            if tuple(self.k_values) not in ((None,), (1,)):
-                raise ValueError("voter sweeps take k_values=(1,)")
-        else:
-            for k in self.k_values:
-                if k is None or k < 1:
-                    raise ValueError(f"k-majority sweep needs integer k >= 1, got {k!r}")
-                if k > MAX_K:
-                    raise ValueError(f"sample size k={k} exceeds the supported cap {MAX_K}")
+        for k in self.k_values:
+            for p in self.p_values:
+                DynamicsParams(self.family, p, self.mode, k=k, max_rounds=self.max_rounds)
+            # the cell's mean-field attachment solves at this k
+            if k is not None and k > MAX_K:
+                raise ValueError(f"sample size k={k} exceeds the supported cap {MAX_K}")
 
     def cells(self) -> list[tuple[int | None, float, float]]:
         out = []

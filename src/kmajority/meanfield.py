@@ -216,27 +216,24 @@ def binom_tail_geq(k: int, theta: float, m: int) -> float:
 
 
 def _tail_sum(k: int, theta: float, start: int, upward: bool) -> float:
-    """Sum pmf terms from ``start`` toward the far tail (terms decay)."""
+    """Sum pmf terms from ``start`` toward the far tail (terms decay).
+
+    The walk down from i is the walk up from j = k - i with the odds
+    inverted: pmf(i-1) = pmf(i) * (1-theta)/theta * i/(k-i+1), and
+    i/(k-i+1) == (k-j)/(j+1), so both directions share one loop.
+    """
     term = _pmf_anchor(k, start, theta)
     terms = [term]
     if upward:
-        odds = theta / (1.0 - theta)
-        i = start
-        while i < k and term > 0.0:
-            term *= odds * (k - i) / (i + 1)
-            i += 1
-            terms.append(term)
-            if term < terms[0] * 1e-20:
-                break  # remaining mass < k * term <= 1e-16 * leading term
+        odds, j = theta / (1.0 - theta), start
     else:
-        inv_odds = (1.0 - theta) / theta
-        i = start
-        while i > 0 and term > 0.0:
-            term *= inv_odds * i / (k - i + 1)
-            i -= 1
-            terms.append(term)
-            if term < terms[0] * 1e-20:
-                break
+        odds, j = (1.0 - theta) / theta, k - start
+    while j < k and term > 0.0:
+        term *= odds * (k - j) / (j + 1)
+        j += 1
+        terms.append(term)
+        if term < terms[0] * 1e-20:
+            break  # remaining mass < k * term <= 1e-16 * leading term
     return math.fsum(terms)
 
 
@@ -364,6 +361,21 @@ def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> fl
     return 0.5 * (lo + hi)
 
 
+def _bisect_bias(holds, lo: float, hi: float, tol: float) -> float:
+    """Bisection on the bias for the edge of a property that holds on
+    [lo, answer] and fails above it; midpoint of the final bracket, which
+    is at most tol wide."""
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _classify(params: MeanFieldParams, tol: float):
     """Regime of the edge-bias map plus the tangency point when it exists.
 
@@ -478,17 +490,13 @@ def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> CriticalValues:
         raise ValueError(f"k={k} out of supported range")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    lo, hi = 1.0 / 9.0, 0.5
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        regime, _, _ = _classify(MeanFieldParams(k, mid, BiasMode.EDGE), tol)
-        if regime is Regime.SUPERCRITICAL:
-            hi = mid
-        else:
-            lo = mid
-    return CriticalValues(p_star_k=0.5 * (lo + hi), p_star_kq=None, k=k, q=None, tolerance=tol)
+
+    def has_root(p: float) -> bool:
+        regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE), tol)
+        return regime is not Regime.SUPERCRITICAL
+
+    p_star = _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
+    return CriticalValues(p_star_k=p_star, p_star_kq=None, k=k, q=None, tolerance=tol)
 
 
 def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValues:
@@ -503,26 +511,17 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
     base = critical_bias_k(k, tol)
     p_star = base.p_star_k
 
-    def phi_minus_at(p: float) -> float | None:
+    def phi_minus_within_q(p: float) -> bool:
         fp = fixed_points(MeanFieldParams(k, p, BiasMode.EDGE), tol)
-        return None if fp.regime is Regime.SUPERCRITICAL else fp.phi_minus
+        return fp.regime is not Regime.SUPERCRITICAL and fp.phi_minus <= q
 
     # Probe just inside the subcritical window: if even the largest phi_minus
     # stays below q, the q-threshold coincides with p_star_k.
-    probe = phi_minus_at(max(0.0, p_star - 2.0 * tol))
-    if probe is not None and probe <= q:
-        return CriticalValues(p_star_k=p_star, p_star_kq=p_star, k=k, q=q, tolerance=tol)
-    lo, hi = 0.0, p_star
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        pm = phi_minus_at(mid)
-        if pm is not None and pm <= q:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalValues(p_star_k=p_star, p_star_kq=0.5 * (lo + hi), k=k, q=q, tolerance=tol)
+    if phi_minus_within_q(max(0.0, p_star - 2.0 * tol)):
+        p_star_kq = p_star
+    else:
+        p_star_kq = _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
+    return CriticalValues(p_star_k=p_star, p_star_kq=p_star_kq, k=k, q=q, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

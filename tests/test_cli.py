@@ -96,6 +96,14 @@ class TestSimulateCommand:
                        "--family", "voter", "--p", "0.1", "--q", "1", "--seed", "1")
         assert doc["tau"] is not None and doc["tau"] <= 207
 
+    def test_voter_accepts_k1(self, capsys):
+        args = ("simulate", "--graph", "complete:n=200", "--family", "voter",
+                "--p", "0.1", "--q", "1", "--seed", "3")
+        plain = run_json(capsys, *args)
+        with_k = run_json(capsys, *args, "--k", "1")
+        assert with_k["params"].pop("k") == 1 and plain["params"].pop("k") is None
+        assert with_k == plain
+
     def test_trace_file(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         doc = run_json(capsys, "simulate", "--graph", "complete:n=100",
@@ -220,6 +228,21 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "10000" in json.loads(err.splitlines()[-1])["error"]
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("grid", [
+        {"p_grid": [0.05, 0.05]},
+        {"k": [3, 3]},
+        {"p_grid": {"min": 0.05, "max": 0.05, "steps": 3}},
+        {"q_grid": [1.0, 1.0]},
+    ])
+    def test_repeated_grid_value_rejected_before_running(self, capsys, tmp_path, grid):
+        # equal grid values give equal replica seeds; such sweeps used to
+        # simulate the first cell and then fail on the seed collision
+        cfg = self.config(tmp_path, graph="complete:n=20", replicas=1, max_rounds=1, **grid)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "distinct" in json.loads(err.splitlines()[-1])["error"]
         assert not (tmp_path / "results").exists()
 
     def test_rerun_byte_identical(self, capsys, tmp_path):

@@ -22,7 +22,7 @@ from kmajority.dynamics import (
     step,
 )
 from kmajority.graph import GraphKind, GraphSpec, generate
-from kmajority.meanfield import BiasMode, MeanFieldParams, binom_pmf, eval_F
+from kmajority.meanfield import MAX_K, BiasMode, MeanFieldParams, binom_pmf, eval_F
 from kmajority.stats import ks_two_sample, mann_whitney_u
 
 EDGE = BiasMode.EDGE
@@ -258,6 +258,20 @@ class TestRun:
         a = run(g, init_random(g, 0.9, 8), kmaj(0.15, EDGE, 8, max_rounds=100))
         b = run(g, init_random(g, 0.9, 8), kmaj(0.15, EDGE, 8, max_rounds=100))
         assert a.trajectory == b.trajectory and a.tau == b.tau
+
+    def test_det_edge_rejects_degree_above_cap(self, tmp_path):
+        # a star whose centre has degree MAX_K + 1; its exact Bin(degree, 1-p)
+        # table used to fail inside round 1 with a message about a sample size
+        path = tmp_path / "star.edges"
+        path.write_text("".join(f"0 {v}\n" for v in range(1, MAX_K + 2)))
+        g = generate(GraphSpec(GraphKind.FILE, path=str(path)))
+        config0 = init_random(g, 1.0, 0)
+        det = DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.1, max_rounds=1)
+        with pytest.raises(ValueError, match=f"node 0 has degree {MAX_K + 1}"):
+            run(g, config0, det)
+        rec = run(g, config0, DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.1,
+                                             mode=NODE, max_rounds=1))
+        assert len(rec.trajectory) == 2
 
     def test_phi_detail(self):
         g = complete(100)
