@@ -263,6 +263,72 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
 
+    _P_RANGE = {"min": 0.05, "max": 0.17, "steps": 3}
+
+    @pytest.mark.parametrize("edit", [
+        {"graph": ...},  # ... drops the key
+        {"p_grid": ...},
+        {"q_grid": ...},
+        {"replicas": ...},
+        {"base_seed": ...},
+        {"out": ...},
+        {"bogus": 1},
+        {"schema": "1"},
+        {"graph": 5},
+        {"graph_seed": "1"},
+        {"family": 3},
+        {"mode": 3},
+        {"k": 3},
+        {"k": ["3"]},
+        {"p_grid": "0.1"},
+        {"p_grid": [0.05, "0.1"]},
+        {"p_grid": {**_P_RANGE, "steps": "3"}},
+        {"p_grid": {**_P_RANGE, "min": "0.05"}},
+        {"p_grid": {"min": 0.05, "max": 0.17}},
+        {"p_grid": {**_P_RANGE, "bogus": 1}},
+        {"q_grid": 1.0},
+        {"q_grid": ["1.0"]},
+        {"replicas": "3"},
+        {"max_rounds": "100"},
+        {"base_seed": "5"},
+        {"share_graph": "yes"},
+        {"out": 5},
+        {"k": [0]},
+        {"p_grid": [1.5]},
+        {"p_grid": [-0.1]},
+        {"q_grid": [1.5]},
+        {"q_grid": [-0.1]},
+        {"p_grid": {**_P_RANGE, "steps": 0}},
+        {"p_grid": {**_P_RANGE, "min": -0.1}},
+        {"p_grid": {**_P_RANGE, "max": 1.5}},
+        {"replicas": 0},
+        {"max_rounds": -1},
+        {"base_seed": -1},
+        {"graph_seed": -1},
+        {"k": []},
+        {"p_grid": []},
+        {"q_grid": []},
+        {"family": "majority"},
+        {"mode": "both"},
+    ], ids=repr)
+    def test_config_rule_rejected_before_running(self, capsys, tmp_path, edit):
+        # every rule of the config format exits 2 before the out dir is made
+        cfg = self.config(tmp_path, graph="complete:n=20", replicas=1, max_rounds=1)
+        doc = json.loads(cfg.read_text())
+        doc.update(edit)
+        cfg.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert json.loads(err.splitlines()[-1])["error"]
+        assert not (tmp_path / "results").exists()
+
+    def test_config_not_an_object_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1]")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert json.loads(err.splitlines()[-1])["error"]
+
 
 class TestCLIPlumbing:
     def test_unknown_flag_exits_2(self, capsys):
