@@ -14,6 +14,9 @@ errors go to stderr as JSON; exit codes are 0 (ok), 2 (input rejected
 before any work: flags, config, or parameters the dataclasses refuse), 1
 (runtime failure).  All randomness derives from the --seed flag (or the
 config's base_seed), never from the environment.
+
+load_sweep_config checks a sweep config's keys and JSON types (integer fields
+take JSON integers only), the dataclasses its ranges, before any output.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import csv
 import json
 import sys
 from pathlib import Path
-
-import jsonschema
 
 from kmajority.dynamics import (
     DynamicsParams,
@@ -57,6 +58,7 @@ from kmajority.meanfield import (
 )
 
 _DEFAULT_GAMMA = 0.02
+_MODES = [m.value for m in BiasMode]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,62 +216,56 @@ def _cmd_graphgen(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["graph", "p_grid", "q_grid", "replicas", "base_seed", "out"],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"type": "integer"},
-        "graph": {"type": "string"},
-        "graph_seed": {"type": "integer", "minimum": 0},
-        "family": {"enum": [f.value for f in Family]},
-        "mode": {"enum": [m.value for m in BiasMode]},
-        "k": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "p_grid": {
-            "oneOf": [
-                {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0, "maximum": 1},
-                    "minItems": 1,
-                },
-                {
-                    "type": "object",
-                    "required": ["min", "max", "steps"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "min": {"type": "number", "minimum": 0, "maximum": 1},
-                        "max": {"type": "number", "minimum": 0, "maximum": 1},
-                        "steps": {"type": "integer", "minimum": 1},
-                    },
-                },
-            ]
-        },
-        "q_grid": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0, "maximum": 1},
-            "minItems": 1,
-        },
-        "replicas": {"type": "integer", "minimum": 1},
-        "max_rounds": {"type": "integer", "minimum": 0},
-        "base_seed": {"type": "integer", "minimum": 0},
-        "share_graph": {"type": "boolean"},
-        "out": {"type": "string"},
-    },
+# JSON type of every config key, as the Python type json.load gives it: a
+# list is an array of its item type, a dict an object with exactly its keys,
+# and p_grid is either.  SweepSpec, DynamicsParams and GraphSpec own ranges.
+_P_RANGE = {"min": float, "max": float, "steps": int}
+_SWEEP_KEYS = {
+    "schema": int, "graph": str, "graph_seed": int, "family": str, "mode": str,
+    "k": [int], "p_grid": ([float], _P_RANGE), "q_grid": [float], "replicas": int,
+    "max_rounds": int, "base_seed": int, "share_graph": bool, "out": str,
 }
+_OPTIONAL_KEYS = {"schema", "graph_seed", "family", "mode", "k", "max_rounds", "share_graph"}
+_JSON_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean"}
 
 
-def _json_pointer(error: jsonschema.ValidationError) -> str:
-    return "/" + "/".join(str(part) for part in error.absolute_path)
+def _invalid(pointer: str, problem: str) -> ValueError:
+    return ValueError(f"sweep config invalid: {pointer or '/'}: {problem}")
+
+
+def _check_json(value, json_type, pointer: str = "") -> None:
+    """Raise, naming its JSON pointer, at the first value not of json_type."""
+    if isinstance(json_type, tuple):
+        json_type = json_type[isinstance(value, dict)]
+    if isinstance(json_type, dict):
+        if not isinstance(value, dict):
+            raise _invalid(pointer, "expected an object")
+        for key in json_type:
+            if key not in value and key not in _OPTIONAL_KEYS:
+                raise _invalid(f"{pointer}/{key}", "required key is missing")
+        for key, item in value.items():
+            if key not in json_type:
+                raise _invalid(f"{pointer}/{key}", "unknown key")
+            _check_json(item, json_type[key], f"{pointer}/{key}")
+    elif isinstance(json_type, list):
+        if not isinstance(value, list):
+            raise _invalid(pointer, "expected an array")
+        for i, item in enumerate(value):
+            _check_json(item, json_type[0], f"{pointer}/{i}")
+    # true is not a number and 2.0 is not an integer, but 2 is a number
+    elif type(value) is not json_type and (json_type, type(value)) != (float, int):
+        raise _invalid(pointer, f"expected {_JSON_NAMES[json_type]}, got {json.dumps(value)}")
 
 
 def _expand_p_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, list):
         return tuple(float(p) for p in raw)
     lo, hi, steps = raw["min"], raw["max"], raw["steps"]
+    if steps < 1:
+        raise _invalid("/p_grid/steps", f"expected at least 1, got {steps}")
+    for key in ("min", "max"):
+        if not 0.0 <= raw[key] <= 1.0:
+            raise _invalid(f"/p_grid/{key}", f"expected a value in [0, 1], got {raw[key]!r}")
     if steps == 1:
         return (float(lo),)
     stride = (hi - lo) / (steps - 1)
@@ -277,14 +273,10 @@ def _expand_p_grid(raw) -> tuple[float, ...]:
 
 
 def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
-    """Parse and validate a sweep config file into a SweepSpec and out dir."""
+    """Check a sweep config file's shape; build its SweepSpec and out dir."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    validator = jsonschema.Draft202012Validator(_SWEEP_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        details = "; ".join(f"{_json_pointer(e)}: {e.message}" for e in errors)
-        raise ValueError(f"sweep config invalid: {details}")
+    _check_json(raw, _SWEEP_KEYS)
     family = Family(raw.get("family", "kmaj"))
     # voter defaults to k = 1, not None: the replica seeds hash k
     k_values = tuple(raw.get("k", [1] if family is Family.VOTER else [None]))
@@ -340,7 +332,7 @@ def _build_parser() -> _Parser:
                        help="fixed points, regime, and optional mean-field orbit")
     p.add_argument("--k", type=int, required=True, help="sample size")
     p.add_argument("--p", type=float, required=True, help="bias strength in [0,1]")
-    p.add_argument("--mode", choices=["edge", "node"], default="edge", help="bias mechanism")
+    p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
     p.add_argument("--q0", type=float, default=None, help="initial value for the orbit")
     p.add_argument("--rounds", type=int, default=200, help="orbit length when --q0 is given")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
@@ -357,11 +349,11 @@ def _build_parser() -> _Parser:
                        help="one seeded run; RunRecord JSON on stdout")
     p.add_argument("--graph", required=True,
                    help="complete:n=..., gnp:n=...,p=..., regular:n=...,d=..., or file:PATH")
-    p.add_argument("--family", choices=["kmaj", "voter", "det"], default="kmaj",
+    p.add_argument("--family", choices=[f.value for f in Family], default="kmaj",
                    help="update family")
     p.add_argument("--k", type=int, default=None, help="sample size (kmaj only)")
     p.add_argument("--p", type=float, required=True, help="bias strength in [0,1]")
-    p.add_argument("--mode", choices=["edge", "node"], default="edge", help="bias mechanism")
+    p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
     p.add_argument("--q", type=float, default=1.0, help="initial per-node R probability")
     p.add_argument("--seed", type=int, default=0, help="seed for graph, init, and rounds")
     p.add_argument("--max-rounds", type=int, default=None,
@@ -381,7 +373,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True, help="graph spec string")
     p.add_argument("--k", type=int, required=True, help="sample size")
     p.add_argument("--p", type=float, required=True, help="bias strength in [0,1]")
-    p.add_argument("--mode", choices=["edge", "node"], default="edge", help="bias mechanism")
+    p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
     p.add_argument("--q0", type=float, default=1.0, help="initial per-node R probability")
     p.add_argument("--rounds", type=int, default=50, help="rounds to compare")
     p.add_argument("--gamma", type=float, default=_DEFAULT_GAMMA, help="tolerance band")

@@ -85,8 +85,11 @@ class DynamicsParams:
             raise ValueError(f"bias p must lie in [0, 1], got {self.p!r}")
         if not isinstance(self.mode, BiasMode):
             raise ValueError(f"mode must be a BiasMode, got {self.mode!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        # type(...) is int: bool and 2.0 are not integers
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.k is not None and type(self.k) is not int:
+            raise ValueError(f"sample size k must be an integer, got {self.k!r}")
         if self.family is Family.KMAJORITY:
             if self.k is None or self.k < 1:
                 raise ValueError(f"k-majority requires sample size k >= 1, got {self.k!r}")
@@ -98,8 +101,8 @@ class DynamicsParams:
                 raise ValueError(
                     "deterministic majority reads the whole neighborhood and takes no k"
                 )
-        if self.max_rounds is not None and self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds!r}")
+        if not (self.max_rounds is None or (type(self.max_rounds) is int and self.max_rounds >= 0)):
+            raise ValueError(f"max_rounds must be a nonnegative integer, got {self.max_rounds!r}")
 
     @property
     def sample_size(self) -> int | None:

@@ -78,8 +78,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         """Grid-level checks; each (k, p) pair is validated by DynamicsParams,
         the one owner of the family/k rule, the bias range and the round cap."""
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
+        if type(self.replicas) is not int or self.replicas < 1:
+            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
+        if type(self.base_seed) is not int or self.base_seed < 0:
+            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
         for name, grid in (("k", self.k_values), ("p", self.p_values), ("q", self.q_values)):
             if not grid:
                 raise ValueError("k, p, and q grids must all be non-empty")

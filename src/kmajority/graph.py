@@ -65,6 +65,8 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.kind is GraphKind.FILE:
             if not self.path:
                 raise ValueError("file graph spec requires a path")

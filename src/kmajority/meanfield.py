@@ -486,8 +486,6 @@ def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> CriticalValues:
         raise ValueError(f"critical_bias_k requires odd k, got {k!r}")
     if k == 1:
         raise ValueError("k = 1 (voter) has no critical bias: disruption at any p > 0")
-    if k < 0 or k > MAX_K:
-        raise ValueError(f"k={k} out of supported range")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
 

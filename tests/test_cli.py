@@ -75,6 +75,11 @@ class TestCriticalCommand:
         assert code == 2
         assert "odd" in json.loads(err)["error"]
 
+    def test_k_above_cap_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "critical", "--k", "10001")
+        assert code == 2
+        assert "10000" in json.loads(err)["error"]
+
 
 class TestSimulateCommand:
     def test_no_bias_censors_at_full_r(self, capsys):
@@ -313,6 +318,24 @@ class TestSweepCommand:
     ], ids=repr)
     def test_config_rule_rejected_before_running(self, capsys, tmp_path, edit):
         # every rule of the config format exits 2 before the out dir is made
+        self.assert_rejected_up_front(capsys, tmp_path, edit)
+
+    @pytest.mark.parametrize("edit", [
+        {"replicas": 2.0},
+        {"k": [3.0]},
+        {"max_rounds": 5.0},
+        {"base_seed": 5.0},
+        {"graph_seed": 5.0},
+        {"p_grid": {**_P_RANGE, "steps": 3.0}},
+        {"replicas": True},
+        {"base_seed": False},
+    ], ids=repr)
+    def test_integer_fields_take_only_integers(self, capsys, tmp_path, edit):
+        # 2.0 and true used to pass as integers and then crash mid-sweep,
+        # write 5.0 into the tau column, or shift the replica seeds
+        self.assert_rejected_up_front(capsys, tmp_path, edit)
+
+    def assert_rejected_up_front(self, capsys, tmp_path, edit):
         cfg = self.config(tmp_path, graph="complete:n=20", replicas=1, max_rounds=1)
         doc = json.loads(cfg.read_text())
         doc.update(edit)

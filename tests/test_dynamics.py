@@ -54,6 +54,14 @@ class TestParams:
         assert DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.1,
                               seed=0).sample_size is None
 
+    @pytest.mark.parametrize("field", [
+        {"k": 3.0}, {"k": True}, {"max_rounds": 4.0}, {"max_rounds": True},
+        {"seed": 1.0}, {"seed": True},
+    ], ids=repr)
+    def test_integer_fields_reject_floats_and_bools(self, field):
+        with pytest.raises(ValueError, match="integer"):
+            DynamicsParams(**{"family": Family.KMAJORITY, "p": 0.1, "k": 3, **field})
+
     def test_default_max_rounds(self):
         assert default_max_rounds(2000) == int(10 * math.log(2000)) + 200
 

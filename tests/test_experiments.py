@@ -112,6 +112,14 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_spec(p_values=(1.2,))
 
+    @pytest.mark.parametrize("field", [
+        {"replicas": 2.0}, {"replicas": True}, {"base_seed": 5.0}, {"base_seed": True},
+        {"base_seed": -1},
+    ], ids=repr)
+    def test_count_and_seed_fields(self, field):
+        with pytest.raises(ValueError):
+            small_spec(**field)
+
     def test_per_cell_graphs(self):
         spec = small_spec(
             graph_spec=GraphSpec(GraphKind.GNP, n=150, edge_prob=0.4, seed=1),

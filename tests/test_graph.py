@@ -77,6 +77,12 @@ class TestGenerate:
         with pytest.raises(GraphConstructionError):
             generate(GraphSpec(GraphKind.GNP, n=20, edge_prob=0.01, seed=0))
 
+    @pytest.mark.parametrize("kind", [GraphKind.COMPLETE, GraphKind.FILE])
+    @pytest.mark.parametrize("seed", [-1, 1.0, True])
+    def test_seed_is_nonnegative_integer(self, kind, seed):
+        with pytest.raises(ValueError, match="seed"):
+            GraphSpec(kind, n=10, path="g.edges" if kind is GraphKind.FILE else None, seed=seed)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GraphSpec(GraphKind.GNP, n=10, edge_prob=0.0)
