@@ -1,9 +1,15 @@
 """Undirected simple graphs for the dynamics: generation, file I/O, density checks.
 
-Graphs are stored in a flat CSR-like layout (``neighbors``/``offsets``) so the
-round engine can gather neighbor states with vectorized indexing.  Every
-constructed graph is validated: simple, symmetric, and with minimum degree 1
-(the update rule samples neighbors, so isolated nodes are a hard error).
+A ``Graph`` stores its adjacency in a flat CSR-like layout
+(``neighbors``/``offsets``).  A generated complete graph is a
+``CompleteGraph``, stored by its size alone: row u of K_n is 0..n-1 without u,
+so entry j of it is ``j + (j >= u)`` and O(n) memory suffices; its CSR arrays
+are built only when something reads them.  The round engine reaches
+neighbors only through ``sample_neighbors`` and ``r_neighbor_counts``, which
+each storage answers its own way.  A K_n read from an edge-list file keeps
+the CSR storage.  Every constructed graph is validated: simple, symmetric,
+and with minimum degree 1 (the update rule samples neighbors, so isolated
+nodes are a hard error).
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +28,7 @@ __all__ = [
     "GraphKind",
     "GraphSpec",
     "Graph",
+    "CompleteGraph",
     "DensityReport",
     "GraphFormatError",
     "generate",
@@ -94,7 +102,7 @@ class GraphSpec:
         return f"file:{self.path}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph in flat adjacency layout.
 
@@ -119,12 +127,81 @@ class Graph:
     def is_complete(self) -> bool:
         return self.total_volume == self.n * (self.n - 1)
 
+    @cached_property
+    def _common_degree(self) -> int | None:
+        d = int(self.degrees[0])
+        return d if bool(np.all(self.degrees == d)) else None
+
     def edges(self):
         """Iterate edges once each as (u, v) with u < v."""
         for u in range(self.n):
             for v in self.neighbors_of(u):
                 if u < v:
                     yield u, int(v)
+
+    def sample_neighbors(self, uniforms: np.ndarray) -> np.ndarray:
+        """Node ids picked by an (n, k) block of uniforms in [0, 1): entry
+        (u, c) is ``neighbors_of(u)[floor(uniforms[u, c] * degree(u))]``."""
+        pick = (uniforms * self.degrees[:, None]).astype(np.int64)
+        return self.neighbors[self.offsets[:-1, None] + pick]
+
+    def r_neighbor_counts(self, states: np.ndarray) -> np.ndarray:
+        """Number of R (True) neighbors of every node, as int64."""
+        return np.add.reduceat(states[self.neighbors], self.offsets[:-1], dtype=np.int64)
+
+    def volume(self, states: np.ndarray) -> int:
+        """Degree sum over the R (True) nodes."""
+        d = self._common_degree
+        if d is not None:
+            return d * int(np.count_nonzero(states))
+        return int(self.degrees @ states)
+
+
+def _complete_row_entry(u, j):
+    """Entry j of K_n's sorted row u (0..n-1 without u); broadcasts."""
+    return j + (j >= u)
+
+
+class CompleteGraph(Graph):
+    """K_n stored by its size: neighbor ids are computed, not looked up.
+
+    ``neighbors`` and ``offsets`` hold the same CSR arrays a ``Graph`` would,
+    built on first access (n(n-1) entries); the engine and ``edges`` never
+    touch them.
+    """
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degrees", np.full(n, n - 1, dtype=np.int64))
+        object.__setattr__(self, "total_volume", n * (n - 1))
+
+    def __repr__(self) -> str:
+        return f"CompleteGraph(n={self.n})"
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        n = self.n
+        rows = np.repeat(np.arange(n, dtype=np.int32), n - 1)
+        return _complete_row_entry(rows, np.tile(np.arange(n - 1, dtype=np.int32), n))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.arange(self.n + 1, dtype=np.int64) * (self.n - 1)
+
+    def neighbors_of(self, u: int) -> np.ndarray:
+        return _complete_row_entry(u, np.arange(self.n - 1, dtype=np.int32))
+
+    def edges(self):
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                yield u, v
+
+    def sample_neighbors(self, uniforms: np.ndarray) -> np.ndarray:
+        j = (uniforms * (self.n - 1)).astype(np.int64)
+        return _complete_row_entry(np.arange(self.n)[:, None], j)
+
+    def r_neighbor_counts(self, states: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(states) - states.astype(np.int64)
 
 
 def _build_from_pairs(n: int, pairs: np.ndarray) -> Graph:
@@ -153,15 +230,6 @@ def _build_from_pairs(n: int, pairs: np.ndarray) -> Graph:
         degrees=degrees,
         total_volume=int(degrees.sum()),
     )
-
-
-def _generate_complete(n: int) -> Graph:
-    grid = np.tile(np.arange(n, dtype=np.int32), (n, 1))
-    flat = grid[~np.eye(n, dtype=bool)]  # row u keeps everything but u, sorted
-    degrees = np.full(n, n - 1, dtype=np.int64)
-    offsets = np.arange(n + 1, dtype=np.int64) * (n - 1)
-    return Graph(n=n, neighbors=flat, offsets=offsets, degrees=degrees,
-                 total_volume=int(n * (n - 1)))
 
 
 def _generate_gnp(n: int, edge_prob: float, seed: int) -> Graph:
@@ -215,7 +283,7 @@ def _generate_random_regular(n: int, d: int, seed: int) -> Graph:
 def generate(spec: GraphSpec) -> Graph:
     """Materialize a GraphSpec; deterministic given the spec's seed."""
     if spec.kind is GraphKind.COMPLETE:
-        return _generate_complete(spec.n)
+        return CompleteGraph(spec.n)
     if spec.kind is GraphKind.GNP:
         return _generate_gnp(spec.n, spec.edge_prob, spec.seed)
     if spec.kind is GraphKind.RANDOM_REGULAR:

@@ -84,7 +84,8 @@ class MeanFieldParams:
     mode: BiasMode = BiasMode.EDGE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
+        # type(...) is int: bool is an int subclass and would run as k=0 or 1
+        if type(self.k) is not int or self.k < 1:
             raise ValueError(f"sample size k must be a positive integer, got {self.k!r}")
         if self.k > MAX_K:
             raise ValueError(f"sample size k={self.k} exceeds the supported cap {MAX_K}")

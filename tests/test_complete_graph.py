@@ -1,7 +1,9 @@
-"""The complete graph: a generated ``complete:n=N`` against the same K_n read
-back from an edge-list file, the ``graphgen`` bytes, and the k-majority count."""
+"""The complete graph: a generated ``complete:n=N`` (stored implicitly) against
+the same K_n read back from an edge-list file (stored as CSR arrays), the
+``graphgen`` bytes, the k-majority count, and O(n) memory on K_n."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,21 @@ from kmajority.dynamics import (
     _block_cols,
     _new_states,
     _round_block,
+    _row_counts,
+    init_random,
     make_configuration,
     run,
     step,
 )
-from kmajority.graph import GraphKind, GraphSpec, generate, load_edge_list, save_edge_list
+from kmajority.graph import (
+    CompleteGraph,
+    Graph,
+    GraphKind,
+    GraphSpec,
+    generate,
+    load_edge_list,
+    save_edge_list,
+)
 from kmajority.meanfield import BiasMode
 
 FAMILIES = {
@@ -96,3 +108,77 @@ def test_kmajority_count_is_exact(tmp_path, k, mode):
             block = _round_block(g.n, _block_cols(params), params.seed, 0)
             expected = reference_new_states(g, states, params, block)
             assert np.array_equal(_new_states(g, states, params, block), expected)
+
+
+def test_storage_follows_origin_not_edge_set(tmp_path):
+    generated, loaded = complete_pair(30, tmp_path)
+    assert isinstance(generated, CompleteGraph)
+    assert type(loaded) is Graph and loaded.is_complete
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_complete_graph_answers_like_its_csr_copy(tmp_path, n):
+    generated, loaded = complete_pair(n, tmp_path)
+    for u in range(n):
+        row = generated.neighbors_of(u)
+        assert row.dtype == np.int32 and np.array_equal(row, loaded.neighbors_of(u))
+    assert list(generated.edges()) == list(loaded.edges())
+    rng = np.random.default_rng(n)
+    uniforms = rng.random((n, 5))
+    uniforms[:, 0] = 0.0
+    uniforms[:, 1] = np.nextafter(1.0, 0.0)
+    assert np.array_equal(generated.sample_neighbors(uniforms),
+                          loaded.sample_neighbors(uniforms))
+    for states in (rng.random(n) < 0.5, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)):
+        assert np.array_equal(generated.r_neighbor_counts(states),
+                              loaded.r_neighbor_counts(states))
+        assert generated.volume(states) == loaded.volume(states) == int(loaded.degrees @ states)
+    # the lazily built arrays equal the loaded ones, dtypes included
+    for name in ("neighbors", "offsets", "degrees"):
+        a, b = getattr(generated, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_volume_on_irregular_graph(tmp_path):
+    path = tmp_path / "star.edges"
+    path.write_text("0 1\n0 2\n0 3\n")
+    g = load_edge_list(path)
+    assert g.volume(np.array([True, False, True, True])) == 5
+    assert g.volume(np.zeros(4, dtype=bool)) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 13, 255, 256, 65535, 65536])
+def test_row_counts_exact(k):
+    seen = np.ones((3, k), dtype=bool)
+    seen[1, ::2] = False
+    seen[2] = False
+    assert _row_counts(seen).tolist() == [k, k // 2, 0]
+    assert _row_counts(seen).dtype == np.int64
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_complete_graph_rounds_use_linear_memory():
+    # the n^2 neighbor array of K_5000 alone is 100 MB
+    def rounds():
+        g = generate(GraphSpec(GraphKind.COMPLETE, n=5000))
+        cfg = init_random(g, 0.7, 0)
+        params = DynamicsParams(family=Family.KMAJORITY, p=0.1, seed=0, k=3)
+        for _ in range(20):
+            cfg = step(g, cfg, params)
+
+    assert traced_peak(rounds) < 4 * 2**20
+
+
+def test_complete_graph_edge_list_streams(tmp_path):
+    def write():
+        save_edge_list(generate(GraphSpec(GraphKind.COMPLETE, n=1000)), tmp_path / "k.edges")
+
+    assert traced_peak(write) < 2**20

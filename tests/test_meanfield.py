@@ -555,3 +555,11 @@ class TestTrajectory:
             trajectory(MeanFieldParams(3, 0.1, EDGE), 1.5, 10)
         with pytest.raises(ValueError):
             trajectory(MeanFieldParams(3, 0.1, EDGE), 0.5, -1)
+
+
+class TestMeanFieldParams:
+    @pytest.mark.parametrize("k", [True, False, 3.0, np.int64(3)], ids=repr)
+    def test_k_takes_only_integers(self, k):
+        # k=True used to pass isinstance(k, int) and run as k=1
+        with pytest.raises(ValueError, match="sample size k"):
+            MeanFieldParams(k, 0.1, EDGE)
