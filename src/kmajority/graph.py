@@ -127,11 +127,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.total_volume == self.n * (self.n - 1)
 
-    @cached_property
-    def _common_degree(self) -> int | None:
-        d = int(self.degrees[0])
-        return d if bool(np.all(self.degrees == d)) else None
-
     def edges(self):
         """Iterate edges once each as (u, v) with u < v."""
         for u in range(self.n):
@@ -149,13 +144,6 @@ class Graph:
         """Number of R (True) neighbors of every node, as int64."""
         return np.add.reduceat(states[self.neighbors], self.offsets[:-1], dtype=np.int64)
 
-    def volume(self, states: np.ndarray) -> int:
-        """Degree sum over the R (True) nodes."""
-        d = self._common_degree
-        if d is not None:
-            return d * int(np.count_nonzero(states))
-        return int(self.degrees @ states)
-
 
 def _complete_row_entry(u, j):
     """Entry j of K_n's sorted row u (0..n-1 without u); broadcasts."""
@@ -166,8 +154,8 @@ class CompleteGraph(Graph):
     """K_n stored by its size: neighbor ids are computed, not looked up.
 
     ``neighbors`` and ``offsets`` hold the same CSR arrays a ``Graph`` would,
-    built on first access (n(n-1) entries); the engine and ``edges`` never
-    touch them.
+    built on first access (n(n-1) entries).  ``neighbors_of`` computes one
+    row, so the engine and the inherited ``edges`` never touch them.
     """
 
     def __init__(self, n: int):
@@ -190,11 +178,6 @@ class CompleteGraph(Graph):
 
     def neighbors_of(self, u: int) -> np.ndarray:
         return _complete_row_entry(u, np.arange(self.n - 1, dtype=np.int32))
-
-    def edges(self):
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                yield u, v
 
     def sample_neighbors(self, uniforms: np.ndarray) -> np.ndarray:
         j = (uniforms * (self.n - 1)).astype(np.int64)

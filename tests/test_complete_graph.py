@@ -132,19 +132,10 @@ def test_complete_graph_answers_like_its_csr_copy(tmp_path, n):
     for states in (rng.random(n) < 0.5, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)):
         assert np.array_equal(generated.r_neighbor_counts(states),
                               loaded.r_neighbor_counts(states))
-        assert generated.volume(states) == loaded.volume(states) == int(loaded.degrees @ states)
     # the lazily built arrays equal the loaded ones, dtypes included
     for name in ("neighbors", "offsets", "degrees"):
         a, b = getattr(generated, name), getattr(loaded, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_volume_on_irregular_graph(tmp_path):
-    path = tmp_path / "star.edges"
-    path.write_text("0 1\n0 2\n0 3\n")
-    g = load_edge_list(path)
-    assert g.volume(np.array([True, False, True, True])) == 5
-    assert g.volume(np.zeros(4, dtype=bool)) == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 12, 13, 255, 256, 65535, 65536])
