@@ -1,5 +1,6 @@
 """Graph construction, edge-list I/O, and density diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -149,6 +150,64 @@ class TestEdgeListIO:
         path.write_text("# nothing\n")
         with pytest.raises(GraphFormatError):
             load_edge_list(path)
+
+
+# sha256 of the (neighbors, offsets, degrees) bytes; a construction refactor
+# that moves one entry, or changes a dtype, fails here
+CSR_DIGESTS = {
+    ("gnp:n=2000,p=0.5", 101001): (
+        "a847d098d8cc1c6ed38760d86088c02ca01276cdf6784ea7bd6a45057f741b58",
+        "ec207bc72943b3919044dff00f1724a3e12d66328347de7e2bd59c5a3645e824",
+        "668d865d4d24699a946c5b3dfa4434a6b63171c14590241989845cfb441b3f9b",
+    ),
+    ("gnp:n=300,p=0.3", 0): (
+        "682c4d28c9d737058b97d092b4084ac4b5fdf475226cbd33ee2a273dfb9f0a6b",
+        "61f3fa4cdc1b56bad6f6ff2efdadfc9be9a24c085be69c6b4fb9328b5b1c2a00",
+        "adcd123ebf86c92dde1ebbba7353f320cbff84eb56fd21c5edb93dc55b459bbd",
+    ),
+    # sparse: mean degree 6, and this seed leaves no node isolated
+    ("gnp:n=200,p=0.03", 0): (
+        "9a45dda7afad285bb7ae9d2296fbeaeb92e733bb9422a6524959494774c37129",
+        "ebdb8d779ad0e9331b23999237fceda7bfb7a7aedbdfc364696908afc5ac17f3",
+        "0113874212e814a6504a35efa3b781174c346d875558755744a3529bf59e02c4",
+    ),
+    ("regular:n=300,d=40", 0): (
+        "b5ce1f82a31d1aa98dd9d105b02d65e396d783012e92939b12aeb32bc9de0167",
+        "c78707a263caaf2a387af14c3537674d81d19a8b606ee1c90dc82c8ef26d7ea4",
+        "c3edd0d5684628177acff7873f3de4a289e533328a17493b7b1767dd878fb143",
+    ),
+    ("regular:n=1000,d=200", 0): (
+        "f16acd11a8d8282b1ba5ec942a217ea38c7069690e28855a91d75acd6efaae91",
+        "c4320d26fa222344eba2e98c12d7924e6de035f75818a54ff0e64b4b747ec8fb",
+        "189238e5f027db24c424610b2b143842d83b48987b66edbaa5989621e256f7ff",
+    ),
+}
+
+
+def _csr_digests(graph):
+    assert (graph.neighbors.dtype, graph.offsets.dtype, graph.degrees.dtype) == (
+        np.int32, np.int64, np.int64)
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in (graph.neighbors, graph.offsets, graph.degrees))
+
+
+class TestCSRBytes:
+    @pytest.mark.parametrize("spec,seed", sorted(CSR_DIGESTS))
+    def test_generated(self, spec, seed):
+        graph = generate(parse_graph_spec(spec, seed=seed))
+        assert _csr_digests(graph) == CSR_DIGESTS[spec, seed]
+
+    def test_edge_list_out_of_order(self, tmp_path):
+        # edges listed out of order and written both ways round
+        path = tmp_path / "g.edges"
+        path.write_text("# n=8\n5 2\n0 7\n3 1\n6 4\n2 0\n7 3\n1 6\n4 5\n")
+        graph = load_edge_list(path)
+        assert graph.neighbors.tolist() == [2, 7, 3, 6, 0, 5, 1, 7, 5, 6, 2, 4, 1, 4, 0, 3]
+        assert _csr_digests(graph) == (
+            "50cb9e1fda22fb4c73ac0dfa45960b44fc8804dc0b37828c05df677f60477007",
+            "40dabe74fd58af339db1ab66ed7ba64367a5be0bc34e39e705c0ed08b151c6d9",
+            "ffc258c471600515a11d7059dcbe5e0977a6126025ae57858df72ad21958d883",
+        )
 
 
 class TestDensityReport:
