@@ -27,6 +27,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from kmajority.dynamics import (
     DynamicsParams,
     Family,
@@ -266,10 +268,7 @@ def _expand_p_grid(raw) -> tuple[float, ...]:
     for key in ("min", "max"):
         if not 0.0 <= raw[key] <= 1.0:
             raise _invalid(f"/p_grid/{key}", f"expected a value in [0, 1], got {raw[key]!r}")
-    if steps == 1:
-        return (float(lo),)
-    stride = (hi - lo) / (steps - 1)
-    return tuple(lo + i * stride for i in range(steps))
+    return tuple(np.linspace(lo, hi, steps).tolist())
 
 
 def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:

@@ -10,6 +10,10 @@ each storage answers its own way.  A K_n read from an edge-list file keeps
 the CSR storage.  Every constructed graph is validated: simple, symmetric,
 and with minimum degree 1 (the update rule samples neighbors, so isolated
 nodes are a hard error).
+
+Every CSR graph, generated or read from a file, reaches the builder in one
+format: an int64 array of distinct edge keys ``u*n + v`` with u < v.  Sorted
+keys are sorted (u, v) pairs, so one integer sort lays out the rows.
 """
 
 from __future__ import annotations
@@ -187,45 +191,38 @@ class CompleteGraph(Graph):
         return np.count_nonzero(states) - states.astype(np.int64)
 
 
-def _build_from_pairs(n: int, pairs: np.ndarray) -> Graph:
-    """Assemble a Graph from an array of undirected edges (u, v), u != v.
+def _build_from_keys(n: int, keys: np.ndarray) -> Graph:
+    """Assemble a Graph from the int64 keys ``u*n + v`` (u < v) of its edges.
 
-    Pairs must already be deduplicated; validation of simplicity happens at
-    the call sites where line numbers / retry semantics are known.
+    The keys must be distinct; each caller checks simplicity where it knows
+    the line number or retries.  Adding every edge's reversed key and sorting
+    once orders the directed edges by (source, target), so row u is the
+    sorted block of keys in [u*n, (u+1)*n) and its targets are ``key % n``.
     """
-    if pairs.size == 0:
-        raise GraphConstructionError("graph has no edges; every node needs degree >= 1")
-    both = np.concatenate([pairs, pairs[:, ::-1]])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    degrees = np.bincount(both[:, 0], minlength=n).astype(np.int64)
+    both = np.concatenate([keys, keys % n * n + keys // n])
+    both.sort()
+    offsets = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
+    degrees = np.diff(offsets)
     if degrees.min() < 1:
         isolated = int(np.argmin(degrees))
         raise GraphConstructionError(
             f"node {isolated} is isolated; the dynamics cannot sample a neighbor"
         )
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
+    both %= n
     return Graph(
         n=n,
-        neighbors=np.ascontiguousarray(both[:, 1], dtype=np.int32),
+        neighbors=both.astype(np.int32),
         offsets=offsets,
         degrees=degrees,
-        total_volume=int(degrees.sum()),
+        total_volume=len(both),
     )
 
 
 def _generate_gnp(n: int, edge_prob: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
-    rows = []
-    for u in range(n - 1):
-        mask = rng.random(n - 1 - u) < edge_prob
-        vs = np.nonzero(mask)[0] + u + 1
-        if vs.size:
-            rows.append(np.stack([np.full(vs.size, u, dtype=np.int64), vs], axis=1))
-    if not rows:
-        raise GraphConstructionError("gnp draw produced no edges; every node needs degree >= 1")
-    return _build_from_pairs(n, np.concatenate(rows))
+    keys = [u * n + u + 1 + np.flatnonzero(rng.random(n - 1 - u) < edge_prob)
+            for u in range(n - 1)]
+    return _build_from_keys(n, np.concatenate(keys))
 
 
 def _generate_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -239,19 +236,13 @@ def _generate_random_regular(n: int, d: int, seed: int) -> Graph:
         pairs = stubs.reshape(-1, 2)
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        self_loops = lo == hi
         key = lo * n + hi
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        dup_flags = np.zeros(len(key), dtype=bool)
-        dup_run = np.concatenate([[False], sorted_key[1:] == sorted_key[:-1]])
-        # mark every member of a duplicated group (first occurrence included)
-        dup_flags[order[dup_run]] = True
-        dup_flags[order[:-1][dup_run[1:]]] = True
-        bad = self_loops | dup_flags
+        # every member of a repeated edge is bad, its first occurrence included
+        _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+        bad = (lo == hi) | (counts[inverse] > 1)
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return _build_from_pairs(n, np.stack([lo, hi], axis=1))
+            return _build_from_keys(n, key)
         good_idx = np.nonzero(~bad)[0]
         extra = good_idx[rng.permutation(len(good_idx))[: min(n_bad, len(good_idx))]]
         recycle = np.concatenate([np.nonzero(bad)[0], extra])
@@ -287,8 +278,7 @@ def load_edge_list(path: str | Path) -> Graph:
     header pins the node count.  Violations are reported with line numbers.
     """
     declared_n: int | None = None
-    pairs: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], int] = {}  # edge (u < v) -> line, in file order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -310,21 +300,21 @@ def load_edge_list(path: str | Path) -> Graph:
                 raise GraphFormatError(f"negative node id in edge ({u}, {v})", lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at node {u}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            edge = (min(u, v), max(u, v))
+            if edge in seen:
                 raise GraphFormatError(
-                    f"duplicate edge {key} (first listed on line {seen[key]})", lineno
+                    f"duplicate edge {edge} (first listed on line {seen[edge]})", lineno
                 )
-            seen[key] = lineno
-            if declared_n is not None and max(u, v) >= declared_n:
-                raise GraphFormatError(
-                    f"node id {max(u, v)} >= declared n={declared_n}", lineno
-                )
-            pairs.append(key)
-    if not pairs:
+            seen[edge] = lineno
+    if not seen:
         raise GraphFormatError("edge list is empty")
-    n = declared_n if declared_n is not None else max(max(e) for e in pairs) + 1
-    return _build_from_pairs(n, np.asarray(pairs, dtype=np.int64))
+    lo, hi = np.array(list(seen), dtype=np.int64).T
+    n = declared_n if declared_n is not None else int(hi.max()) + 1
+    if hi.max() >= n:
+        # an id past the header would alias another edge's key
+        first = next(edge for edge in seen if edge[1] >= n)
+        raise GraphFormatError(f"node id {first[1]} >= declared n={n}", seen[first])
+    return _build_from_keys(n, lo * n + hi)
 
 
 def save_edge_list(graph: Graph, path: str | Path) -> None:

@@ -239,7 +239,8 @@ def _tail_sum(k: int, theta: float, start: int, upward: bool) -> float:
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 0:
+    # type(...) is int: bool is an int subclass and would run as k=0 or 1
+    if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the supported cap {MAX_K}")

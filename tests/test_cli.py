@@ -250,6 +250,14 @@ class TestSweepCommand:
         assert "distinct" in json.loads(err.splitlines()[-1])["error"]
         assert not (tmp_path / "results").exists()
 
+    def test_p_range_ends_exactly_at_max(self, capsys, tmp_path):
+        # 0.08 + 3 * (0.92 / 3) is 1.0000000000000002, which used to exit 2
+        cfg = self.config(tmp_path, graph="complete:n=20", replicas=1, max_rounds=1,
+                          p_grid={"min": 0.08, "max": 1.0, "steps": 4})
+        run_json(capsys, "sweep", "--config", str(cfg))
+        cells = json.loads((tmp_path / "results" / "summary.json").read_text())["cells"]
+        assert cells[-1]["p"] == 1.0
+
     def test_rerun_byte_identical(self, capsys, tmp_path):
         cfg = self.config(tmp_path)
         run_json(capsys, "sweep", "--config", str(cfg))

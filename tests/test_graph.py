@@ -78,6 +78,20 @@ class TestGenerate:
         with pytest.raises(GraphConstructionError):
             generate(GraphSpec(GraphKind.GNP, n=20, edge_prob=0.01, seed=0))
 
+    def test_gnp_without_edges_is_isolated_node_error(self):
+        # the isolated-node check is the one emptiness check
+        with pytest.raises(GraphConstructionError, match="node 0 is isolated"):
+            generate(GraphSpec(GraphKind.GNP, n=3, edge_prob=1e-9, seed=0))
+
+    def test_edge_list_id_past_late_header(self, tmp_path):
+        # a header after an edge bounds that edge too; its key 0*3 + 5 would
+        # otherwise read as the edge (1, 2)
+        path = tmp_path / "late.edges"
+        path.write_text("0 5\n# n=3\n1 2\n")
+        with pytest.raises(GraphFormatError, match="node id 5 >= declared n=3") as err:
+            load_edge_list(path)
+        assert err.value.line == 1
+
     @pytest.mark.parametrize("kind", [GraphKind.COMPLETE, GraphKind.FILE])
     @pytest.mark.parametrize("seed", [-1, 1.0, True])
     def test_seed_is_nonnegative_integer(self, kind, seed):

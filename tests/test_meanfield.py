@@ -154,6 +154,14 @@ class TestBinomTail:
         with pytest.raises(ValueError):
             binom_tail_geq(MAX_K + 1, 0.5, 1)
 
+    @pytest.mark.parametrize("call", [lambda: binom_pmf(True, 1, 0.5),
+                                      lambda: binom_tail_geq(True, 0.5, 1)],
+                             ids=["binom_pmf", "binom_tail_geq"])
+    def test_k_takes_no_bool(self, call):
+        # k=True used to pass isinstance(k, int) and return 0.5, run as k=1
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            call()
+
     def test_pmf_matches_fraction_oracle(self):
         for k, i, theta in [(3, 2, 0.6), (10, 5, 0.123), (100, 37, 0.37), (1000, 500, 0.5)]:
             assert binom_pmf(k, i, theta) == pytest.approx(pmf_fraction(k, i, theta), rel=1e-15)
