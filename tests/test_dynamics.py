@@ -105,6 +105,21 @@ class TestStep:
                 cfg = step(g, cfg, params)
                 assert cfg.r_volume == 0 and not cfg.states.any()
 
+    @pytest.mark.parametrize("mode", [EDGE, NODE])
+    def test_all_b_absorbing_on_csr_graph(self, mode):
+        g = generate(GraphSpec(GraphKind.GNP, n=300, edge_prob=0.3, seed=4))
+        for p in (0.0, 0.3, 1.0):
+            for params in [
+                kmaj(p, mode, 1, k=3), kmaj(p, mode, 1, k=4),
+                DynamicsParams(family=Family.VOTER, p=p, mode=mode, seed=1),
+                DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=p, mode=mode, seed=1),
+            ]:
+                for t in (0, 1, 9):
+                    start = make_configuration(g, np.zeros(300, dtype=bool), round_index=t)
+                    cfg = step(g, start, params)
+                    assert not cfg.states.any() and cfg.r_volume == 0, (params, t)
+                    assert cfg.round_index == t + 1
+
     def test_all_r_no_bias_is_fixed(self):
         g = complete(60)
         start = make_configuration(g, np.ones(60, dtype=bool))
@@ -209,6 +224,25 @@ class TestBinomialSampler:
             if c > 0:
                 assert table[c - 1] <= uu
 
+    def test_cdf_table_boundaries_by_bytes(self):
+        # Bin(n, 0) puts all mass on 0, Bin(n, 1) on n, Bin(0, prob) on 0
+        for n in (1, 2, 7, 100, MAX_K):
+            assert _binom_cdf_table(n, 0.0).tobytes() == np.ones(n + 1).tobytes()
+            at_n = np.zeros(n + 1)
+            at_n[-1] = 1.0
+            assert _binom_cdf_table(n, 1.0).tobytes() == at_n.tobytes()
+        for prob in (0.0, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 1.0):
+            assert _binom_cdf_table(0, prob).tobytes() == np.ones(1).tobytes()
+
+    def test_icdf_top_uniform_stays_within_count(self):
+        # the largest uniform below 1 still lands inside the table
+        counts = np.array([0, 1, 2, 5, 40, 199, 1000], dtype=np.int64)
+        u = np.full(counts.shape, 1.0 - 2.0**-53)
+        for prob in (0.0, 2.0**-53, 0.43, 0.5, 0.9, 1.0 - 2.0**-53, 1.0):
+            out = _binomial_icdf(counts, prob, u)
+            assert np.all(out <= counts), prob
+        assert np.array_equal(_binomial_icdf(counts, 1.0, u), counts)
+
     def test_icdf_mixed_counts(self):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 30, size=500)
@@ -245,6 +279,16 @@ class TestRun:
         rec = run(g, cfg, kmaj(0.3, EDGE, 1, max_rounds=50))
         assert rec.tau == 0 and not rec.censored
         assert rec.trajectory == [0.0]
+
+    def test_round_zero_recorded_like_later_rounds(self):
+        g = complete(40)
+        all_b = make_configuration(g, np.zeros(40, dtype=bool))
+        rec = run(g, all_b, kmaj(0.3, EDGE, 1, max_rounds=50), record_phi=True)
+        assert (rec.tau, rec.trajectory, rec.phi_min, rec.phi_max) == (0, [0.0], [0.0], [0.0])
+        all_r = make_configuration(g, np.ones(40, dtype=bool))
+        rec = run(g, all_r, kmaj(0.3, EDGE, 1, max_rounds=0), record_phi=True)
+        assert rec.censored and rec.tau is None
+        assert (rec.trajectory, rec.phi_min, rec.phi_max) == ([1.0], [1.0], [1.0])
 
     def test_censored_run(self):
         g = complete(300)

@@ -184,6 +184,20 @@ class TestBinomTail:
         # The anchor is the correctly rounded exact rational: equal, not close.
         assert binom_pmf(k, i, theta) == pmf_fraction(k, i, theta)
 
+    @pytest.mark.parametrize("theta", [0.0, -0.0, 1.0])
+    def test_boundary_theta_exact(self, theta):
+        # Bin(k, 0) is a point mass at 0 and Bin(k, 1) one at k; compared by
+        # float.hex(), so a -0.0 would not pass for 0.0
+        for k in [*range(65), MAX_K]:
+            at = k if theta == 1.0 else 0
+            small = k <= 64
+            for i in range(k + 1) if small else (0, 1, k // 2, k - 1, k):
+                want = 1.0 if i == at else 0.0
+                assert binom_pmf(k, i, theta).hex() == want.hex(), (k, i)
+            for m in range(k + 2) if small else (0, 1, k // 2, k, k + 1):
+                want = 1.0 if m <= at else 0.0
+                assert binom_tail_geq(k, theta, m).hex() == want.hex(), (k, m)
+
 
 class TestEvalF:
     def test_known_fixed_point_k3(self):
