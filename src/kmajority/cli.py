@@ -90,9 +90,7 @@ def _cmd_meanfield(args) -> int:
     params = MeanFieldParams(args.k, args.p, BiasMode(args.mode))
     doc = {"schema": 1, "k": args.k, "p": args.p, "mode": args.mode,
            "tolerance": args.tol}
-    if args.k % 2 == 1:
-        if args.k == 1:
-            raise ValueError("k = 1 (voter) has a linear map with no nontrivial fixed points")
+    if args.k % 2 == 1 and args.k >= 3:
         fp = fixed_points(params, tol=args.tol)
         doc.update({
             "regime": fp.regime.value,
@@ -103,7 +101,8 @@ def _cmd_meanfield(args) -> int:
         })
     elif args.q0 is None:
         raise ValueError(
-            "fixed-point solving requires odd k; for even k give --q0 to get the orbit"
+            "fixed-point solving requires odd k >= 3; for k = 1 or even k give --q0 "
+            "to get the orbit"
         )
     if args.q0 is not None:
         orbit = trajectory(params, args.q0, args.rounds)
@@ -297,8 +296,8 @@ def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
 
 def _cmd_sweep(args) -> int:
     spec, out_dir = load_sweep_config(args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = run_sweep(spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.json"
     write_runs_csv(cells, runs_path)

@@ -43,6 +43,7 @@ __all__ = [
     "DynamicsParams",
     "Configuration",
     "RunRecord",
+    "check",
     "default_max_rounds",
     "init_random",
     "make_configuration",
@@ -171,14 +172,6 @@ def _round_block(n: int, cols: int, seed: int, round_index: int) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _binom_cdf_table(n: int, prob: float) -> np.ndarray:
     """CDF of Bin(n, prob) over {0..n}, anchored at the exact mode pmf."""
-    if n == 0:
-        return np.ones(1)
-    if prob <= 0.0:
-        return np.ones(n + 1)
-    if prob >= 1.0:
-        out = np.zeros(n + 1)
-        out[-1] = 1.0
-        return out
     mode = min(n, int((n + 1) * prob))
     pmf = np.empty(n + 1)
     pmf[mode] = binom_pmf(n, mode, prob)
@@ -201,7 +194,6 @@ def _binomial_icdf(counts: np.ndarray, prob: float, u: np.ndarray) -> np.ndarray
         table = _binom_cdf_table(int(c), prob)
         mask = counts == c
         out[mask] = np.searchsorted(table, u[mask], side="right")
-    np.minimum(out, counts, out=out)
     return out
 
 
@@ -300,13 +292,15 @@ def _new_states(
 
 def step(graph: Graph, config: Configuration, params: DynamicsParams) -> Configuration:
     """Advance one synchronous round (double-buffered: every new state is a
-    function of the round-t configuration only)."""
-    n = graph.n
+    function of the round-t configuration only).
+
+    All-B needs no special case: with no R to read every count is 0, which
+    is neither a majority nor a tie (k >= 1 and every degree is >= 1), and
+    node corruption only sets B, so all-B maps to all-B.  Drawing that
+    round's block changes no later round, whose block has its own counter.
+    """
     t = config.round_index
-    if config.r_volume == 0:
-        # all-B is absorbing; no randomness can resurrect R
-        return Configuration(states=np.zeros(n, dtype=bool), r_volume=0, round_index=t + 1)
-    block = _round_block(n, _block_cols(params), params.seed, t)
+    block = _round_block(graph.n, _block_cols(params), params.seed, t)
     new = _new_states(graph, config.states, params, block)
     return Configuration(
         states=new, r_volume=int(graph.degrees @ new), round_index=t + 1
@@ -332,20 +326,11 @@ def _disrupted(graph: Graph, config: Configuration) -> bool:
     return 2 * config.r_volume < graph.total_volume
 
 
-def run(
-    graph: Graph,
-    config0: Configuration,
-    params: DynamicsParams,
-    record_phi: bool = False,
-) -> RunRecord:
-    """Iterate until the initial majority is disrupted or the round cap hits.
+def check(graph: Graph, params: DynamicsParams) -> None:
+    """Reject, before any round, a graph the dynamics cannot run on.
 
-    The cap is ``params.max_rounds``, or ``default_max_rounds(graph.n)``
-    when that is None; the record carries the cap it ran under.  The
-    disruption check runs on the initial configuration too (an all-B
-    start has tau = 0 with zero steps executed).  Deterministic majority
-    with edge bias draws Bin(degree, 1-p) read counts from exact tables,
-    so it is rejected up front on a graph with a degree above MAX_K.
+    Deterministic majority with edge bias draws Bin(degree, 1-p) read counts
+    from exact tables, so it takes no graph with a degree above MAX_K.
     """
     if params.family is Family.DETERMINISTIC_MAJORITY and params.mode is BiasMode.EDGE:
         u = int(np.argmax(graph.degrees))
@@ -354,30 +339,44 @@ def run(
                 f"deterministic majority with edge bias supports degrees up to {MAX_K}; "
                 f"node {u} has degree {graph.degrees[u]}"
             )
+
+
+def run(
+    graph: Graph,
+    config0: Configuration,
+    params: DynamicsParams,
+    record_phi: bool = False,
+) -> RunRecord:
+    """Iterate until the initial majority is disrupted or the round cap hits.
+
+    ``check(graph, params)`` runs first.  The cap is ``params.max_rounds``,
+    or ``default_max_rounds(graph.n)`` when that is None; the record carries
+    the cap it ran under.  Every round, the initial configuration included,
+    is recorded and checked for disruption alike (an all-B start has
+    tau = 0 with zero steps executed).
+    """
+    check(graph, params)
     max_rounds = params.max_rounds
     if max_rounds is None:
         max_rounds = default_max_rounds(graph.n)
     vol = graph.total_volume
-    trajectory = [config0.r_volume / vol]
+    trajectory = []
     phi_min = [] if record_phi else None
     phi_max = [] if record_phi else None
-    if record_phi:
-        lo, _, hi = phi_stats(graph, config0)
-        phi_min.append(lo)
-        phi_max.append(hi)
-    tau = 0 if _disrupted(graph, config0) else None
     config = config0
     t = 0
-    while tau is None and t < max_rounds:
-        config = step(graph, config, params)
-        t += 1
+    while True:
         trajectory.append(config.r_volume / vol)
         if record_phi:
             lo, _, hi = phi_stats(graph, config)
             phi_min.append(lo)
             phi_max.append(hi)
-        if _disrupted(graph, config):
-            tau = t
+        disrupted = _disrupted(graph, config)
+        if disrupted or t == max_rounds:
+            break
+        config = step(graph, config, params)
+        t += 1
+    tau = t if disrupted else None
     return RunRecord(
         tau=tau,
         censored=tau is None,

@@ -27,6 +27,7 @@ import numpy as np
 from kmajority.dynamics import (
     DynamicsParams,
     Family,
+    check,
     init_random,
     r_neighbor_counts,
     run,
@@ -239,16 +240,25 @@ def _cell_graph(spec: SweepSpec, cell_index: int) -> Graph:
 
 
 def run_sweep(spec: SweepSpec) -> list[CellSummary]:
-    """Run every cell of the grid; deterministic given the spec."""
+    """Run every cell of the grid; deterministic given the spec.
+
+    Every cell's graph is drawn and checked before any replica runs.  A cell
+    that does not share its graph draws it again when it runs; its seed is
+    fixed, so that is the same graph.
+    """
     shared = generate(spec.graph_spec) if spec.share_graph else None
-    all_seeds: set[int] = set()
-    summaries: list[CellSummary] = []
     for cell_index, (k, p, q) in enumerate(spec.cells()):
         where = f"cell (k={k}, p={p}, q={q})"
         try:
             graph = shared if shared is not None else _cell_graph(spec, cell_index)
         except Exception as exc:
             raise RuntimeError(f"{where}: graph generation failed: {exc}") from exc
+        check(graph, DynamicsParams(spec.family, p, spec.mode, k=k))
+    all_seeds: set[int] = set()
+    summaries: list[CellSummary] = []
+    for cell_index, (k, p, q) in enumerate(spec.cells()):
+        where = f"cell (k={k}, p={p}, q={q})"
+        graph = shared if shared is not None else _cell_graph(spec, cell_index)
         seeds, taus, finals = [], [], []
         censored = 0
         for replica in range(spec.replicas):
@@ -290,8 +300,8 @@ def meanfield_comparison(graph: Graph, params: DynamicsParams, q0: float,
     """
     if params.family is Family.DETERMINISTIC_MAJORITY:
         raise ValueError("mean-field comparison applies to sampling dynamics (k-majority/voter)")
-    if T < 0:
-        raise ValueError(f"round count T must be >= 0, got {T}")
+    if type(T) is not int or T < 0:
+        raise ValueError(f"round count T must be a nonnegative integer, got {T!r}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     k = params.sample_size

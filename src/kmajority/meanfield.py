@@ -176,10 +176,6 @@ def binom_pmf(k: int, i: int, theta: float) -> float:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     if not 0 <= i <= k:
         raise ValueError(f"pmf index must lie in [0, {k}], got {i}")
-    if theta == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if theta == 1.0:
-        return 1.0 if i == k else 0.0
     return _pmf_anchor(k, i, theta)
 
 
@@ -205,10 +201,6 @@ def binom_tail_geq(k: int, theta: float, m: int) -> float:
         return 1.0
     if m == k + 1:
         return 0.0
-    if theta == 0.0:
-        return 0.0
-    if theta == 1.0:
-        return 1.0
     if theta == 0.5 and 2 * m == k + 1:
         return 0.5  # symmetric split of Bin(k, 1/2), exact
     if m > k * theta:
@@ -283,8 +275,6 @@ def eval_F_even(params: MeanFieldParams, x: float) -> float:
     k, p = params.k, params.p
     if k % 2 == 1:
         raise ValueError(f"eval_F_even requires even k, got k={k}")
-    if k < 2:
-        raise ValueError(f"eval_F_even requires k >= 2, got k={k}")
     h = k // 2
     if params.mode is BiasMode.EDGE:
         z = (1.0 - p) * x
@@ -343,10 +333,6 @@ def eval_d2F(params: MeanFieldParams, x: float) -> float:
 def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
     """Bisection on a bracketed sign change; stops once the bracket is
     narrower than tol and the midpoint residual is within tol."""
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("bisection bracket does not straddle a sign change")
     for _ in range(_MAX_BISECT):
@@ -456,8 +442,6 @@ def closed_form_k3(p: float) -> FixedPointSet:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"bias p must lie in [0, 1], got {p!r}")
-    if p >= 1.0:
-        return FixedPointSet(Regime.SUPERCRITICAL, None, None, None)
     t = 1.0 - 9.0 * p
     if t < 0.0:
         return FixedPointSet(Regime.SUPERCRITICAL, None, None, None)
@@ -533,7 +517,7 @@ def trajectory(params: MeanFieldParams, q0: float, T: int) -> Trajectory:
     """Iterate the update map T times from q0 (even k dispatches to the
     tie-aware map, which follows the same law as k-1)."""
     _check_x(q0)
-    if not isinstance(T, int) or T < 0:
+    if type(T) is not int or T < 0:
         raise ValueError(f"round count T must be a nonnegative integer, got {T!r}")
     step = eval_F if params.k % 2 == 1 else eval_F_even
     values = [float(q0)]

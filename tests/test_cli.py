@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from kmajority import experiments
 from kmajority.cli import main
 from kmajority.graph import load_edge_list
+from kmajority.meanfield import MAX_K
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +56,18 @@ class TestMeanfieldCommand:
                        "--q0", "1.0", "--rounds", "3")
         assert "regime" not in doc
         assert len(doc["trajectory"]["values"]) == 4
+
+    def test_k1_orbit(self, capsys):
+        # k = 1 follows the linear law F(x) = (1-p) x; it used to exit 2
+        # while k = 2, which follows the same law, printed its orbit
+        doc = run_json(capsys, "meanfield", "--k", "1", "--p", "0.1",
+                       "--q0", "0.9", "--rounds", "3")
+        assert "regime" not in doc
+        assert doc["trajectory"]["values"] == [0.9, 0.9 * 0.9, 0.9 * 0.9 * 0.9,
+                                               0.9 * 0.9 * 0.9 * 0.9]
+        code, _, err = run_cli(capsys, "meanfield", "--k", "1", "--p", "0.1")
+        assert code == 2
+        assert "--q0" in json.loads(err)["error"]
 
 
 class TestCriticalCommand:
@@ -248,6 +262,41 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "distinct" in json.loads(err.splitlines()[-1])["error"]
+        assert not (tmp_path / "results").exists()
+
+    def det_config(self, tmp_path, **overrides):
+        cfg = self.config(tmp_path, family="det", **overrides)
+        doc = json.loads(cfg.read_text())
+        del doc["k"]  # det takes no k
+        cfg.write_text(json.dumps(doc))
+        return cfg
+
+    def test_degree_above_cap_rejected_before_running(self, capsys, tmp_path):
+        # det edge bias on a degree above MAX_K used to fail inside the first
+        # replica with exit 1 and an empty out dir; simulate exits 2 on it
+        star = tmp_path / "star.edges"
+        star.write_text("".join(f"0 {v}\n" for v in range(1, MAX_K + 2)))
+        cfg = self.det_config(tmp_path, graph=f"file:{star}", p_grid=[0.1], replicas=1,
+                              max_rounds=1)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert f"degree {MAX_K + 1}" in json.loads(err.splitlines()[-1])["error"]
+        assert not (tmp_path / "results").exists()
+
+    def test_cell_graph_failure_runs_no_replica(self, capsys, tmp_path, monkeypatch):
+        # the fourth cell's G(50, 0.1) has an isolated node; the sweep used to
+        # simulate three cells first and leave an empty out dir
+        calls = []
+        real_run = experiments.run
+        monkeypatch.setattr(experiments, "run",
+                            lambda *args, **kw: calls.append(args) or real_run(*args, **kw))
+        cfg = self.det_config(tmp_path, graph="gnp:n=50,p=0.1",
+                              p_grid={"min": 0.1, "max": 0.45, "steps": 8}, q_grid=[0.9],
+                              replicas=2, max_rounds=20, base_seed=1, share_graph=False)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        assert "p=0.25" in json.loads(err.splitlines()[-1])["error"]
+        assert calls == []
         assert not (tmp_path / "results").exists()
 
     def test_p_range_ends_exactly_at_max(self, capsys, tmp_path):

@@ -164,6 +164,13 @@ class TestMeanFieldComparison:
         assert not rep.passed
         assert rep.rounds_passed[1] is False
 
+    def test_bool_round_count_rejected(self):
+        # T=True used to compare two rounds as if it were T=1
+        g = generate(GraphSpec(GraphKind.COMPLETE, n=50))
+        params = DynamicsParams(family=Family.KMAJORITY, p=0.05, mode=EDGE, seed=4, k=3)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            meanfield_comparison(g, params, 0.9, True, 0.02)
+
     def test_rejects_det_family(self):
         g = generate(GraphSpec(GraphKind.COMPLETE, n=50))
         params = DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.3,

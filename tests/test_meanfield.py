@@ -572,6 +572,12 @@ class TestTrajectory:
         tr = trajectory(MeanFieldParams(3, 0.1, EDGE), 0.7, 0)
         assert tr.values == [0.7]
 
+    @pytest.mark.parametrize("T", [True, False])
+    def test_bool_round_count_rejected(self, T):
+        # True used to pass isinstance(T, int) and run one round
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            trajectory(MeanFieldParams(3, 0.1, EDGE), 0.9, T)
+
     def test_rejects(self):
         with pytest.raises(ValueError):
             trajectory(MeanFieldParams(3, 0.1, EDGE), 1.5, 10)
