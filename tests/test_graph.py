@@ -224,6 +224,73 @@ class TestCSRBytes:
         )
 
 
+def _star_path(tmp_path):
+    """Node 0 joined to nodes 1..20, then the path 20-21-...-40: the hub
+    holds a quarter of the volume, so a few R nodes can hold most of it."""
+    path = tmp_path / "star_path.edges"
+    path.write_text("".join(f"0 {v}\n" for v in range(1, 21))
+                    + "".join(f"{v} {v + 1}\n" for v in range(20, 40)))
+    return load_edge_list(path)
+
+
+def _half_volume_states(graph):
+    """R nodes holding exactly half the volume: the first prefix of a seeded
+    node order whose degree sum hits total_volume / 2."""
+    for seed in range(1000):
+        order = np.random.default_rng(seed).permutation(graph.n)
+        hit = np.flatnonzero(np.cumsum(graph.degrees[order]) == graph.total_volume // 2)
+        if hit.size:
+            states = np.zeros(graph.n, dtype=bool)
+            states[order[: hit[0] + 1]] = True
+            return states
+    raise AssertionError("no prefix holds half the volume")
+
+
+def _count_states(graph):
+    rng = np.random.default_rng(7)
+    return {
+        "all_R": np.ones(graph.n, dtype=bool),
+        "all_B": np.zeros(graph.n, dtype=bool),
+        "R_minority": rng.random(graph.n) < 0.2,
+        "B_minority": rng.random(graph.n) < 0.8,
+        "half_volume": _half_volume_states(graph),
+    }
+
+
+class TestRNeighborCounts:
+    @pytest.mark.parametrize("source", ["gnp:n=300,p=0.3", "regular:n=300,d=40", "star_path"])
+    @pytest.mark.parametrize("name", ["all_R", "all_B", "R_minority", "B_minority",
+                                      "half_volume"])
+    def test_against_dense_oracle(self, tmp_path, source, name):
+        if source == "star_path":
+            graph = _star_path(tmp_path)
+        else:
+            graph = generate(parse_graph_spec(source, seed=0))
+        adjacency = np.zeros((graph.n, graph.n), dtype=bool)
+        for u, v in graph.edges():
+            adjacency[u, v] = adjacency[v, u] = True
+        states = _count_states(graph)[name]
+        counts = graph.r_neighbor_counts(states)
+        assert counts.dtype == np.int64 and counts.shape == (graph.n,)
+        assert np.array_equal(counts, adjacency.astype(np.int64) @ states)
+        if name == "half_volume":
+            assert 2 * int(graph.degrees @ states) == graph.total_volume
+
+    @pytest.mark.parametrize("hub_r", [True, False])
+    def test_star_path_volume_majority_is_not_node_majority(self, tmp_path, hub_r):
+        # R = hub + 11 path nodes: 12 of 41 nodes, 42 of 80 volume
+        graph = _star_path(tmp_path)
+        states = np.zeros(graph.n, dtype=bool)
+        states[[0, *range(22, 33)]] = True
+        if not hub_r:
+            states = ~states
+        r_volume = int(graph.degrees @ states)
+        assert (2 * np.count_nonzero(states) < graph.n) == (2 * r_volume > graph.total_volume)
+        expected = np.array([np.count_nonzero(states[graph.neighbors_of(u)])
+                             for u in range(graph.n)])
+        assert np.array_equal(graph.r_neighbor_counts(states), expected)
+
+
 class TestDensityReport:
     def test_complete_100(self):
         g = generate(GraphSpec(GraphKind.COMPLETE, n=100))
