@@ -296,6 +296,11 @@ def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
 
 def _cmd_sweep(args) -> int:
     spec, out_dir = load_sweep_config(args.config)
+    # fail before any replica runs if the out dir cannot be made: its nearest
+    # existing component, and so every existing one, must be a directory
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"sweep out dir {out_dir}: {existing} is not a directory")
     cells = run_sweep(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs_path = out_dir / "runs.csv"

@@ -145,8 +145,19 @@ class Graph:
         return self.neighbors[self.offsets[:-1, None] + pick]
 
     def r_neighbor_counts(self, states: np.ndarray) -> np.ndarray:
-        """Number of R (True) neighbors of every node, as int64."""
-        return np.add.reduceat(states[self.neighbors], self.offsets[:-1], dtype=np.int64)
+        """Number of R (True) neighbors of every node, as int64.
+
+        The adjacency is symmetric, so u's count of colour c is the number of
+        c nodes whose rows list u.  The rows of whichever colour holds the
+        smaller volume are scattered into a bincount, and an R-heavy state
+        returns ``degrees`` minus the B counts.  That costs O(minority volume)
+        time, and at most about 1.5 × ``neighbors.nbytes`` of scratch memory
+        (the int32 minority entries and bincount's int64 copy of them).
+        """
+        r_heavy = 2 * int(self.degrees @ states) > self.total_volume
+        minority = ~states if r_heavy else states
+        hits = np.bincount(self.neighbors[np.repeat(minority, self.degrees)], minlength=self.n)
+        return self.degrees - hits if r_heavy else hits
 
 
 def _complete_row_entry(u, j):

@@ -299,6 +299,22 @@ class TestSweepCommand:
         assert calls == []
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unmakeable_out_dir_runs_no_replica(self, capsys, tmp_path, monkeypatch, out):
+        # an out path at or under a file used to fail with exit 1 only after
+        # every replica had run
+        calls = []
+        real_run = experiments.run
+        monkeypatch.setattr(experiments, "run",
+                            lambda *args, **kw: calls.append(args) or real_run(*args, **kw))
+        (tmp_path / "afile").write_text("kept\n")
+        cfg = self.config(tmp_path, graph="complete:n=200", p_grid=[0.05, 0.1], replicas=3,
+                          out=str(tmp_path / out))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, len(calls)) == (1, 0)
+        assert "afile is not a directory" in json.loads(err.splitlines()[-1])["error"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_p_range_ends_exactly_at_max(self, capsys, tmp_path):
         # 0.08 + 3 * (0.92 / 3) is 1.0000000000000002, which used to exit 2
         cfg = self.config(tmp_path, graph="complete:n=20", replicas=1, max_rounds=1,
