@@ -81,12 +81,25 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _check_output(path: str | Path, label: str) -> Path:
+    """Fail before any work if the file path cannot be written: it must not
+    be a directory, and the nearest existing component of its directory must
+    be one.  Returns that directory, to be made once the work is done."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{label} {path} is a directory")
+    existing = next(p for p in path.parents if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{label} {path}: {existing} is not a directory")
+    return path.parent
+
+
 # ---------------------------------------------------------------------------
 # meanfield / critical
 # ---------------------------------------------------------------------------
 
 
-def _cmd_meanfield(args) -> int:
+def _cmd_meanfield(args) -> dict:
     params = MeanFieldParams(args.k, args.p, BiasMode(args.mode))
     doc = {"schema": 1, "k": args.k, "p": args.p, "mode": args.mode,
            "tolerance": args.tol}
@@ -107,24 +120,22 @@ def _cmd_meanfield(args) -> int:
     if args.q0 is not None:
         orbit = trajectory(params, args.q0, args.rounds)
         doc["trajectory"] = {"q0": args.q0, "rounds": args.rounds, "values": orbit.values}
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_critical(args) -> int:
+def _cmd_critical(args) -> dict:
     if args.q is None:
         cv = critical_bias_k(args.k, tol=args.tol)
     else:
         cv = critical_bias_kq(args.k, args.q, tol=args.tol)
-    _emit({
+    return {
         "schema": 1,
         "k": cv.k,
         "q": cv.q,
         "p_star_k": cv.p_star_k,
         "p_star_kq": cv.p_star_kq,
         "tolerance": cv.tolerance,
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +143,13 @@ def _cmd_critical(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     params = DynamicsParams(family=Family(args.family), p=args.p, mode=BiasMode(args.mode),
                             seed=args.seed, k=args.k, max_rounds=args.max_rounds)
+    if args.phi_detail and not args.trace:
+        raise ValueError("--phi-detail needs --trace: phi goes to the trace CSV only")
     spec = parse_graph_spec(args.graph, seed=args.seed)
+    trace_dir = _check_output(args.trace, "trace") if args.trace else None
     graph = generate(spec)
     config0 = init_random(graph, args.q, args.seed)
     record = run(graph, config0, params, record_phi=args.phi_detail)
@@ -165,6 +179,7 @@ def _cmd_simulate(args) -> int:
         },
     }
     if args.trace:
+        trace_dir.mkdir(parents=True, exist_ok=True)
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             header = ["round", "r_volume_fraction"]
@@ -177,17 +192,16 @@ def _cmd_simulate(args) -> int:
                     row += [f"{record.phi_min[t]:.17g}", f"{record.phi_max[t]:.17g}"]
                 writer.writerow(row)
         doc["trace"] = str(args.trace)
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     spec = parse_graph_spec(args.graph, seed=args.seed)
     graph = generate(spec)
     params = DynamicsParams(family=Family.KMAJORITY, p=args.p, mode=BiasMode(args.mode),
                             seed=args.seed, k=args.k)
     report = meanfield_comparison(graph, params, args.q0, args.rounds, args.gamma)
-    _emit({
+    return {
         "schema": 1,
         "pass": report.passed,
         "gamma": report.gamma,
@@ -201,16 +215,16 @@ def _cmd_compare(args) -> int:
         "mode": args.mode,
         "graph": spec.label(),
         "seed": args.seed,
-    })
-    return 0
+    }
 
 
-def _cmd_graphgen(args) -> int:
+def _cmd_graphgen(args) -> dict:
     spec = parse_graph_spec(args.spec, seed=args.seed)
+    folder = _check_output(args.out, "graph file")
     graph = generate(spec)
+    folder.mkdir(parents=True, exist_ok=True)
     save_edge_list(graph, args.out)
-    _emit({"schema": 1, "path": str(args.out), "n": graph.n, "edges": graph.edge_count})
-    return 0
+    return {"schema": 1, "path": str(args.out), "n": graph.n, "edges": graph.edge_count}
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +289,8 @@ def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     _check_json(raw, _SWEEP_KEYS)
+    if raw.get("schema", 1) != 1:
+        raise _invalid("/schema", f"expected 1, got {raw['schema']}")
     family = Family(raw.get("family", "kmaj"))
     # voter defaults to k = 1, not None: the replica seeds hash k
     k_values = tuple(raw.get("k", [1] if family is Family.VOTER else [None]))
@@ -294,28 +310,24 @@ def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
     return spec, Path(raw["out"])
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     spec, out_dir = load_sweep_config(args.config)
-    # fail before any replica runs if the out dir cannot be made: its nearest
-    # existing component, and so every existing one, must be a directory
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"sweep out dir {out_dir}: {existing} is not a directory")
-    cells = run_sweep(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.json"
+    for path in (runs_path, summary_path):
+        _check_output(path, "sweep output")
+    cells = run_sweep(spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_runs_csv(cells, runs_path)
     write_summary_json(spec, cells, summary_path)
-    _emit({
+    return {
         "schema": 1,
         "out": str(out_dir),
         "cells": len(cells),
         "runs": sum(c.replicas for c in cells),
         "runs_csv": str(runs_path),
         "summary_json": str(summary_path),
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +412,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        _emit(args.handler(args))
+        return 0
     except GraphFormatError as exc:
         _emit_error(str(exc))
         return 1

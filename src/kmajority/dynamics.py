@@ -188,7 +188,7 @@ def _binom_cdf_table(n: int, prob: float) -> np.ndarray:
 
 def _binomial_icdf(counts: np.ndarray, prob: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF binomial draws, one uniform per entry, vectorized by
-    grouping equal trial counts (few distinct degrees in practice)."""
+    grouping equal trial counts (one group per distinct R-neighbor count)."""
     out = np.empty(counts.shape, dtype=np.int64)
     for c in np.unique(counts):
         table = _binom_cdf_table(int(c), prob)
@@ -301,10 +301,7 @@ def step(graph: Graph, config: Configuration, params: DynamicsParams) -> Configu
     """
     t = config.round_index
     block = _round_block(graph.n, _block_cols(params), params.seed, t)
-    new = _new_states(graph, config.states, params, block)
-    return Configuration(
-        states=new, r_volume=int(graph.degrees @ new), round_index=t + 1
-    )
+    return make_configuration(graph, _new_states(graph, config.states, params, block), t + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ bounds.
 
 Everything is deterministic given the spec: per-replica seeds are derived
 by hashing (base_seed, cell coordinates, replica index), checked for
-collisions at runtime, and the CSV writer formats floats with 17
+collisions before any replica runs, and the CSV writer formats floats with 17
 significant digits so reruns are byte-identical.
 """
 
@@ -29,7 +29,7 @@ from kmajority.dynamics import (
     Family,
     check,
     init_random,
-    r_neighbor_counts,
+    phi_stats,
     run,
     step,
 )
@@ -37,6 +37,7 @@ from kmajority.graph import Graph, GraphSpec, generate
 from kmajority.meanfield import (
     MAX_K,
     BiasMode,
+    CriticalValues,
     MeanFieldParams,
     Regime,
     critical_bias_k,
@@ -169,21 +170,14 @@ class DisruptionCurve:
 # ---------------------------------------------------------------------------
 
 
-def _replica_seed(base_seed: int, k: int | None, p: float, q: float,
-                  family: Family, mode: BiasMode, replica: int) -> int:
-    text = f"{base_seed}|{k}|{p:.17g}|{q:.17g}|{family.value}|{mode.value}|{replica}"
-    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _hash_seed(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 @lru_cache(maxsize=None)
-def _cached_critical(k: int) -> float:
-    return critical_bias_k(k).p_star_k
-
-
-@lru_cache(maxsize=None)
-def _cached_critical_q(k: int, q: float) -> float:
-    return critical_bias_kq(k, q).p_star_kq
+def _critical_values(k: int, q: float | None) -> CriticalValues:
+    """p*_k, plus p*_{k,q} when q is given (critical_bias_kq solves p*_k too)."""
+    return critical_bias_k(k) if q is None else critical_bias_kq(k, q)
 
 
 def _meanfield_attachment(family: Family, mode: BiasMode,
@@ -215,13 +209,14 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
                 "mu": None, "p_star_k": 0.0, "p_star_kq": 0.0}
     k_odd = k if k % 2 == 1 else k - 1
     fp = fixed_points(MeanFieldParams(k_odd, p, mode))
+    cv = _critical_values(k_odd, q if q > 0.5 else None)
     return {
         "regime": fp.regime.value,
         "phi_minus": fp.phi_minus,
         "phi_plus": fp.phi_plus,
         "mu": fp.mu,
-        "p_star_k": _cached_critical(k_odd),
-        "p_star_kq": _cached_critical_q(k_odd, q) if q > 0.5 else None,
+        "p_star_k": cv.p_star_k,
+        "p_star_kq": cv.p_star_kq,
     }
 
 
@@ -232,61 +227,58 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
 
 def _cell_graph(spec: SweepSpec, cell_index: int) -> Graph:
     """A fresh graph for one cell of a sweep that does not share its graph."""
-    digest = hashlib.blake2b(
-        f"graph|{spec.base_seed}|{cell_index}".encode(), digest_size=8
-    ).digest()
-    seed = int.from_bytes(digest, "big")
+    seed = _hash_seed(f"graph|{spec.graph_spec.seed}|{cell_index}")
     return generate(replace(spec.graph_spec, seed=seed))
 
 
 def run_sweep(spec: SweepSpec) -> list[CellSummary]:
     """Run every cell of the grid; deterministic given the spec.
 
-    Every cell's graph is drawn and checked before any replica runs.  A cell
-    that does not share its graph draws it again when it runs; its seed is
-    fixed, so that is the same graph.
+    A first pass plans every cell before any replica runs: it draws and
+    checks the graph, derives the replica seeds (no two alike in the sweep)
+    and solves the mean-field attachment.  A cell that does not share its
+    graph draws it again to run; its seed is fixed, so that is the same graph.
     """
     shared = generate(spec.graph_spec) if spec.share_graph else None
+    all_seeds: set[int] = set()
+    plans = []
     for cell_index, (k, p, q) in enumerate(spec.cells()):
         where = f"cell (k={k}, p={p}, q={q})"
         try:
             graph = shared if shared is not None else _cell_graph(spec, cell_index)
         except Exception as exc:
             raise RuntimeError(f"{where}: graph generation failed: {exc}") from exc
-        check(graph, DynamicsParams(spec.family, p, spec.mode, k=k))
-    all_seeds: set[int] = set()
-    summaries: list[CellSummary] = []
-    for cell_index, (k, p, q) in enumerate(spec.cells()):
-        where = f"cell (k={k}, p={p}, q={q})"
+        params = DynamicsParams(spec.family, p, spec.mode, k=k, max_rounds=spec.max_rounds)
+        check(graph, params)
+        seeds = [_hash_seed(f"{spec.base_seed}|{k}|{p:.17g}|{q:.17g}|{spec.family.value}|"
+                            f"{spec.mode.value}|{replica}") for replica in range(spec.replicas)]
+        all_seeds.update(seeds)
+        if len(all_seeds) < (cell_index + 1) * spec.replicas:
+            raise RuntimeError(f"replica seed collision at {where}")
+        plans.append((where, params, seeds, _meanfield_attachment(spec.family, spec.mode, k, p, q)))
+    summaries = []
+    for cell_index, ((k, p, q), (where, params, seeds, meanfield)) in enumerate(
+            zip(spec.cells(), plans)):
         graph = shared if shared is not None else _cell_graph(spec, cell_index)
-        seeds, taus, finals = [], [], []
-        censored = 0
-        for replica in range(spec.replicas):
-            seed = _replica_seed(spec.base_seed, k, p, q, spec.family, spec.mode, replica)
-            if seed in all_seeds:
-                raise RuntimeError(f"replica seed collision at {where}, replica {replica}")
-            all_seeds.add(seed)
+        records = []
+        for replica, seed in enumerate(seeds):
             try:
-                params = DynamicsParams(family=spec.family, p=p, mode=spec.mode,
-                                        seed=seed, k=k, max_rounds=spec.max_rounds)
-                record = run(graph, init_random(graph, q, seed), params)
+                records.append(run(graph, init_random(graph, q, seed), replace(params, seed=seed)))
             except Exception as exc:
                 raise RuntimeError(f"{where}, replica {replica}: {exc}") from exc
-            seeds.append(seed)
-            taus.append(record.tau)
-            finals.append(record.final_r_fraction)
-            censored += int(record.censored)
-        max_rounds = record.max_rounds  # the cell's replicas share one graph, so one cap
+        max_rounds = records[0].max_rounds  # the cell's replicas share one graph, so one cap
+        taus = [r.tau for r in records]
+        finals = [r.final_r_fraction for r in records]
         bounded = [max_rounds if t is None else t for t in taus]
         summaries.append(CellSummary(
             k=k, p=p, q=q, family=spec.family, mode=spec.mode,
             graph_label=spec.graph_spec.label(), n=graph.n, max_rounds=max_rounds,
             seeds=seeds, taus=taus, final_r_fractions=finals,
-            censored_count=censored,
+            censored_count=sum(r.censored for r in records),
             tau_median=float(np.median(bounded)),
             tau_mean=float(np.mean(bounded)),
             final_r_fraction_mean=float(np.mean(finals)),
-            meanfield=_meanfield_attachment(spec.family, spec.mode, k, p, q),
+            meanfield=meanfield,
         ))
     return summaries
 
@@ -309,8 +301,9 @@ def meanfield_comparison(graph: Graph, params: DynamicsParams, q0: float,
     config = init_random(graph, q0, params.seed)
     deviations: list[float] = []
     for t in range(T + 1):
-        phi = r_neighbor_counts(graph, config.states) / graph.degrees
-        deviations.append(float(np.max(np.abs(phi - orbit[t]))))
+        # max over nodes of |phi - c| is max(phi_max - c, c - phi_min), bit for bit
+        lo, _, hi = phi_stats(graph, config)
+        deviations.append(max(hi - orbit[t], orbit[t] - lo))
         if t < T:
             config = step(graph, config, params)
     rounds_passed = [d <= gamma for d in deviations]

@@ -409,28 +409,21 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
         raise ValueError(f"fixed_points requires odd k, got k={k}")
     if k == 1:
         raise ValueError("fixed_points requires k >= 3 (the k=1 map is linear)")
-    if params.mode is BiasMode.NODE:
-        edge = fixed_points(MeanFieldParams(k, p, BiasMode.EDGE), tol)
-        s = 1.0 - p
-        scale = lambda v: None if v is None else s * v
-        return FixedPointSet(
-            regime=edge.regime,
-            phi_minus=scale(edge.phi_minus),
-            phi_plus=scale(edge.phi_plus),
-            mu=scale(edge.mu),
-        )
-    regime, mu, psi_mu = _classify(params, tol)
+    # the node-bias map is the edge-bias map contracted by s = 1 - p
+    s = 1.0 - p if params.mode is BiasMode.NODE else 1.0
+    edge = MeanFieldParams(k, p, BiasMode.EDGE)
+    regime, mu, psi_mu = _classify(edge, tol)
     if regime is Regime.SUPERCRITICAL:
         return FixedPointSet(Regime.SUPERCRITICAL, None, None, mu=None)
     if regime is Regime.CRITICAL:
-        return FixedPointSet(Regime.CRITICAL, mu, mu, mu=mu)
+        return FixedPointSet(Regime.CRITICAL, s * mu, s * mu, mu=s * mu)
     a = 0.5 / (1.0 - p)
-    psi = lambda x: eval_F(params, x) - x
+    psi = lambda x: eval_F(edge, x) - x
     psi_a, psi_1 = psi(a), psi(1.0)
     # boundary roots: p = 0 puts phi- exactly at a = 1/2 and phi+ at 1
     phi_minus = a if psi_a >= 0.0 else _bisect(psi, a, mu, psi_a, psi_mu, tol)
     phi_plus = 1.0 if psi_1 >= 0.0 else _bisect(psi, mu, 1.0, psi_mu, psi_1, tol)
-    return FixedPointSet(Regime.SUBCRITICAL, phi_minus, phi_plus, mu=mu)
+    return FixedPointSet(Regime.SUBCRITICAL, s * phi_minus, s * phi_plus, mu=s * mu)
 
 
 def closed_form_k3(p: float) -> FixedPointSet:

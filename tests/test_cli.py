@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kmajority import experiments
+from kmajority import cli, experiments
 from kmajority.cli import main
 from kmajority.graph import load_edge_list
 from kmajority.meanfield import MAX_K
@@ -149,6 +149,33 @@ class TestSimulateCommand:
                                "--k", "3", "--p", "0.1")
         assert code == 1
 
+    @pytest.mark.parametrize("trace", ["afile/t.csv", "adir"])
+    def test_unwritable_trace_runs_nothing(self, capsys, tmp_path, count_calls, trace):
+        # a trace path under a file or naming a directory used to fail with
+        # exit 1 only after the whole simulation had run
+        runs = count_calls(cli, "run")
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        code, _, err = run_cli(capsys, "simulate", "--graph", "complete:n=200", "--k", "3",
+                               "--p", "0.05", "--trace", str(tmp_path / trace))
+        assert (code, len(runs)) == (1, 0)
+        assert json.loads(err.splitlines()[-1])["error"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_trace_makes_missing_directories(self, capsys, tmp_path):
+        trace = tmp_path / "missing" / "sub" / "t.csv"
+        doc = run_json(capsys, "simulate", "--graph", "complete:n=50", "--k", "3",
+                       "--p", "0.05", "--max-rounds", "3", "--trace", str(trace))
+        assert len(trace.read_text().splitlines()) == doc["rounds_simulated"] + 2
+
+    def test_phi_detail_without_trace_rejected(self, capsys, count_calls):
+        # the JSON carries no phi, so the per-round R counts were discarded
+        runs = count_calls(cli, "run")
+        code, _, err = run_cli(capsys, "simulate", "--graph", "complete:n=50", "--k", "3",
+                               "--p", "0.05", "--phi-detail")
+        assert (code, len(runs)) == (2, 0)
+        assert "--trace" in json.loads(err.splitlines()[-1])["error"]
+
 
 class TestCompareCommand:
     def test_subcritical_pass(self, capsys):
@@ -184,6 +211,24 @@ class TestGraphgenCommand:
         code, _, err = run_cli(capsys, "graphgen", "--spec", "gnp:n=10,p=0",
                                "--out", str(tmp_path / "x.edges"))
         assert code == 2
+
+    @pytest.mark.parametrize("out", ["afile/g.edges", "adir"])
+    def test_unwritable_out_builds_nothing(self, capsys, tmp_path, count_calls, out):
+        # an out path under a file or naming a directory used to fail with
+        # exit 1 only after the graph was built
+        builds = count_calls(cli, "generate")
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        code, _, err = run_cli(capsys, "graphgen", "--spec", "complete:n=50",
+                               "--out", str(tmp_path / out))
+        assert (code, len(builds)) == (1, 0)
+        assert json.loads(err.splitlines()[-1])["error"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_out_makes_missing_directories(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "g.edges"
+        run_json(capsys, "graphgen", "--spec", "complete:n=4", "--out", str(out))
+        assert load_edge_list(out).edge_count == 6
 
 
 class TestSweepCommand:
@@ -315,6 +360,15 @@ class TestSweepCommand:
         assert "afile is not a directory" in json.loads(err.splitlines()[-1])["error"]
         assert (tmp_path / "afile").read_text() == "kept\n"
 
+    def test_output_file_naming_a_directory_runs_no_replica(self, capsys, tmp_path,
+                                                              count_calls):
+        runs = count_calls(experiments, "run")
+        (tmp_path / "results" / "summary.json").mkdir(parents=True)
+        cfg = self.config(tmp_path, graph="complete:n=200", p_grid=[0.05], replicas=2)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, len(runs)) == (1, 0)
+        assert "is a directory" in json.loads(err.splitlines()[-1])["error"]
+
     def test_p_range_ends_exactly_at_max(self, capsys, tmp_path):
         # 0.08 + 3 * (0.92 / 3) is 1.0000000000000002, which used to exit 2
         cfg = self.config(tmp_path, graph="complete:n=20", replicas=1, max_rounds=1,
@@ -352,6 +406,7 @@ class TestSweepCommand:
         {"out": ...},
         {"bogus": 1},
         {"schema": "1"},
+        {"schema": 2},
         {"graph": 5},
         {"graph_seed": "1"},
         {"family": 3},

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kmajority import experiments, meanfield
 from kmajority.dynamics import DynamicsParams, Family
 from kmajority.experiments import (
     CSV_COLUMNS,
@@ -139,6 +140,52 @@ class TestRunSweep:
         with pytest.raises(RuntimeError) as err:
             run_sweep(spec)
         assert "cell (k=3" in str(err.value)
+
+
+class TestSweepPlan:
+    """Every cell is planned (graph, replica seeds, mean-field attachment)
+    before any replica runs, and each derived quantity is solved once."""
+
+    def test_failing_attachment_runs_no_replica(self, monkeypatch, count_calls):
+        # the last cell's attachment used to be solved after every replica
+        # of every cell had run
+        runs = count_calls(experiments, "run")
+        real = experiments._meanfield_attachment
+
+        def attachment(family, mode, k, p, q):
+            if p == 0.16:
+                raise ArithmeticError("attachment failed")
+            return real(family, mode, k, p, q)
+
+        monkeypatch.setattr(experiments, "_meanfield_attachment", attachment)
+        with pytest.raises(ArithmeticError):
+            run_sweep(small_spec(replicas=2))
+        assert runs == []
+
+    def test_critical_bias_k_solved_once_per_k(self, monkeypatch, count_calls):
+        # critical_bias_kq solves p*_k itself: one solve per (k, q) pair
+        # covers p*_k, which used to be solved once more per k
+        for value in vars(experiments).values():
+            if getattr(value, "__module__", "") == experiments.__name__ and hasattr(
+                    value, "cache_clear"):
+                value.cache_clear()
+        solves = count_calls(meanfield, "critical_bias_k")
+        monkeypatch.setattr(experiments, "critical_bias_k", meanfield.critical_bias_k)
+        cells = run_sweep(small_spec(graph_spec=GraphSpec(GraphKind.COMPLETE, n=20),
+                                     k_values=(3, 101), p_values=(0.05,), q_values=(0.6, 0.9),
+                                     replicas=1, max_rounds=1))
+        assert len(solves) == 4
+        assert cells[0].meanfield["p_star_k"] == meanfield.critical_bias_k(3).p_star_k
+
+    def test_graph_seed_draws_the_per_cell_graphs(self, count_calls):
+        # per-cell graphs used to hash base_seed, so graph_seed had no effect
+        drawn = count_calls(experiments, "generate")
+        for graph_seed in (1, 2):
+            run_sweep(small_spec(graph_spec=GraphSpec(GraphKind.GNP, n=60, edge_prob=0.5,
+                                                      seed=graph_seed),
+                                 share_graph=False, replicas=1))
+        seeds = [spec.seed for (spec,) in drawn]
+        assert len(seeds) == 8 and not set(seeds[:4]) & set(seeds[4:])
 
 
 class TestMeanFieldComparison:
