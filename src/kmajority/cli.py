@@ -24,7 +24,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         _emit_error(message)
         raise SystemExit(2)
+
+
+def _finite_float(text: str) -> float:
+    """Type of every float flag: NaN and +-inf are refused up front (JSON has
+    no literal for them)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _emit_error(message: str) -> None:
@@ -128,14 +142,7 @@ def _cmd_critical(args) -> dict:
         cv = critical_bias_k(args.k, tol=args.tol)
     else:
         cv = critical_bias_kq(args.k, args.q, tol=args.tol)
-    return {
-        "schema": 1,
-        "k": cv.k,
-        "q": cv.q,
-        "p_star_k": cv.p_star_k,
-        "p_star_kq": cv.p_star_kq,
-        "tolerance": cv.tolerance,
-    }
+    return {"schema": 1, **asdict(cv)}
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +353,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("meanfield", formatter_class=fmt,
                        help="fixed points, regime, and optional mean-field orbit")
     p.add_argument("--k", type=int, required=True, help="sample size")
-    p.add_argument("--p", type=float, required=True, help="bias strength in [0,1]")
+    p.add_argument("--p", type=_finite_float, required=True, help="bias strength in [0,1]")
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
-    p.add_argument("--q0", type=float, default=None, help="initial value for the orbit")
+    p.add_argument("--q0", type=_finite_float, default=None, help="initial value for the orbit")
     p.add_argument("--rounds", type=int, default=200, help="orbit length when --q0 is given")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_meanfield)
 
     p = sub.add_parser("critical", formatter_class=fmt,
                        help="critical bias p*_k and optionally p*_{k,q}")
     p.add_argument("--k", type=int, required=True, help="sample size (odd, >= 3)")
-    p.add_argument("--q", type=float, default=None, help="initial majority level in (1/2,1]")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--q", type=_finite_float, default=None,
+                   help="initial majority level in (1/2,1]")
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("simulate", formatter_class=fmt,
@@ -367,9 +375,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", choices=[f.value for f in Family], default="kmaj",
                    help="update family")
     p.add_argument("--k", type=int, default=None, help="sample size (kmaj only)")
-    p.add_argument("--p", type=float, required=True, help="bias strength in [0,1]")
+    p.add_argument("--p", type=_finite_float, required=True, help="bias strength in [0,1]")
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
-    p.add_argument("--q", type=float, default=1.0, help="initial per-node R probability")
+    p.add_argument("--q", type=_finite_float, default=1.0, help="initial per-node R probability")
     p.add_argument("--seed", type=int, default=0, help="seed for graph, init, and rounds")
     p.add_argument("--max-rounds", type=int, default=None,
                    help="round cap (default: 10 ln n + 200)")
@@ -387,11 +395,11 @@ def _build_parser() -> _Parser:
                        help="simulation vs mean-field orbit, per-round sup deviation")
     p.add_argument("--graph", required=True, help="graph spec string")
     p.add_argument("--k", type=int, required=True, help="sample size")
-    p.add_argument("--p", type=float, required=True, help="bias strength in [0,1]")
+    p.add_argument("--p", type=_finite_float, required=True, help="bias strength in [0,1]")
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
-    p.add_argument("--q0", type=float, default=1.0, help="initial per-node R probability")
+    p.add_argument("--q0", type=_finite_float, default=1.0, help="initial per-node R probability")
     p.add_argument("--rounds", type=int, default=50, help="rounds to compare")
-    p.add_argument("--gamma", type=float, default=_DEFAULT_GAMMA, help="tolerance band")
+    p.add_argument("--gamma", type=_finite_float, default=_DEFAULT_GAMMA, help="tolerance band")
     p.add_argument("--seed", type=int, default=0, help="seed for graph, init, and rounds")
     p.set_defaults(handler=_cmd_compare)
 

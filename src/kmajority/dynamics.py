@@ -92,8 +92,8 @@ class DynamicsParams:
         if self.k is not None and type(self.k) is not int:
             raise ValueError(f"sample size k must be an integer, got {self.k!r}")
         if self.family is Family.KMAJORITY:
-            if self.k is None or self.k < 1:
-                raise ValueError(f"k-majority requires sample size k >= 1, got {self.k!r}")
+            if self.k is None or not 1 <= self.k <= MAX_K:
+                raise ValueError(f"k-majority requires 1 <= k <= {MAX_K}, got k={self.k!r}")
         elif self.family is Family.VOTER:
             if self.k not in (None, 1):
                 raise ValueError(f"voter is the k=1 dynamics; got k={self.k!r}")
@@ -247,21 +247,13 @@ def _block_cols(params: DynamicsParams) -> int:
     return cols
 
 
-# Up to this k, adding the k columns of an (n, k) boolean array beats
-# summing its short rows (2000 rows: 11 vs 43 us at k=3, 47 vs 66 us at
-# k=12, 65 vs 67 us at k=16).
-_COLUMN_ADD_MAX_K = 12
-
-
 def _row_counts(seen: np.ndarray) -> np.ndarray:
-    """Number of True entries in each row of a boolean (n, k) array, as int64."""
-    k = seen.shape[1]
-    if k > _COLUMN_ADD_MAX_K:
-        return seen.sum(axis=1)
-    count = seen[:, 0].astype(np.int64)
-    for c in range(1, k):
-        count += seen[:, c]
-    return count
+    """Number of True entries in each row of a boolean (n, k) array, as int64.
+
+    A float64 product with ones is exact: every partial sum is an integer
+    below 2^53.
+    """
+    return (seen @ np.ones(seen.shape[1])).astype(np.int64)
 
 
 def _new_states(

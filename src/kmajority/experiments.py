@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -35,7 +36,6 @@ from kmajority.dynamics import (
 )
 from kmajority.graph import Graph, GraphSpec, generate
 from kmajority.meanfield import (
-    MAX_K,
     BiasMode,
     CriticalValues,
     MeanFieldParams,
@@ -96,9 +96,6 @@ class SweepSpec:
         for k in self.k_values:
             for p in self.p_values:
                 DynamicsParams(self.family, p, self.mode, k=k, max_rounds=self.max_rounds)
-            # the cell's mean-field attachment solves at this k
-            if k is not None and k > MAX_K:
-                raise ValueError(f"sample size k={k} exceeds the supported cap {MAX_K}")
 
     def cells(self) -> list[tuple[int | None, float, float]]:
         out = []
@@ -292,10 +289,8 @@ def meanfield_comparison(graph: Graph, params: DynamicsParams, q0: float,
     """
     if params.family is Family.DETERMINISTIC_MAJORITY:
         raise ValueError("mean-field comparison applies to sampling dynamics (k-majority/voter)")
-    if type(T) is not int or T < 0:
-        raise ValueError(f"round count T must be a nonnegative integer, got {T!r}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     k = params.sample_size
     orbit = trajectory(MeanFieldParams(k, params.p, params.mode), q0, T).values
     config = init_random(graph, q0, params.seed)

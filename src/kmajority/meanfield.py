@@ -126,10 +126,11 @@ class FixedPointSet:
 class CriticalValues:
     """Critical bias thresholds for a given sample size."""
 
-    p_star_k: float
-    p_star_kq: float | None
+    # field order is the key order of the `critical` command's JSON document
     k: int
     q: float | None
+    p_star_k: float
+    p_star_kq: float | None
     tolerance: float
 
 
@@ -364,6 +365,16 @@ def _bisect_bias(holds, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _check_solver_args(k: int, tol: float) -> None:
+    """Fixed points and critical biases exist for odd k >= 3 (the k = 1 map
+    is linear); the solvers bisect down to a positive, finite tolerance."""
+    # type(...) is int: bool is an int subclass
+    if type(k) is not int or k % 2 == 0 or k < 3:
+        raise ValueError(f"the solver requires odd k >= 3, got k={k!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def _classify(params: MeanFieldParams, tol: float):
     """Regime of the edge-bias map plus the tangency point when it exists.
 
@@ -402,13 +413,8 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
     single sign change) and located by bisection; |F(root) - root| <= tol.
     Node-bias sets are the edge-bias sets contracted by (1-p).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
     k, p = params.k, params.p
-    if k % 2 == 0:
-        raise ValueError(f"fixed_points requires odd k, got k={k}")
-    if k == 1:
-        raise ValueError("fixed_points requires k >= 3 (the k=1 map is linear)")
+    _check_solver_args(k, tol)
     # the node-bias map is the edge-bias map contracted by s = 1 - p
     s = 1.0 - p if params.mode is BiasMode.NODE else 1.0
     edge = MeanFieldParams(k, p, BiasMode.EDGE)
@@ -461,19 +467,14 @@ def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> CriticalValues:
     node-bias map is an axis contraction of the edge-bias map, which leaves
     existence of nontrivial roots unchanged).
     """
-    if not isinstance(k, int) or k % 2 == 0:
-        raise ValueError(f"critical_bias_k requires odd k, got {k!r}")
-    if k == 1:
-        raise ValueError("k = 1 (voter) has no critical bias: disruption at any p > 0")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    _check_solver_args(k, tol)
 
     def has_root(p: float) -> bool:
         regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE), tol)
         return regime is not Regime.SUPERCRITICAL
 
     p_star = _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
-    return CriticalValues(p_star_k=p_star, p_star_kq=None, k=k, q=None, tolerance=tol)
+    return CriticalValues(k=k, q=None, p_star_k=p_star, p_star_kq=None, tolerance=tol)
 
 
 def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValues:
@@ -498,7 +499,7 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
         p_star_kq = p_star
     else:
         p_star_kq = _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
-    return CriticalValues(p_star_k=p_star, p_star_kq=p_star_kq, k=k, q=q, tolerance=tol)
+    return CriticalValues(k=k, q=q, p_star_k=p_star, p_star_kq=p_star_kq, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

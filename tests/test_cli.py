@@ -176,6 +176,14 @@ class TestSimulateCommand:
         assert (code, len(runs)) == (2, 0)
         assert "--trace" in json.loads(err.splitlines()[-1])["error"]
 
+    def test_k_above_cap_builds_nothing(self, capsys, count_calls):
+        # simulate used to run a k that every other command rejects
+        builds = count_calls(cli, "generate")
+        code, out, err = run_cli(capsys, "simulate", "--graph", "complete:n=50",
+                                 "--k", str(MAX_K + 1), "--p", "0.05", "--max-rounds", "1")
+        assert (code, out, len(builds)) == (2, "", 0)
+        assert str(MAX_K) in json.loads(err)["error"]
+
 
 class TestCompareCommand:
     def test_subcritical_pass(self, capsys):
@@ -482,6 +490,27 @@ class TestSweepCommand:
 
 
 class TestCLIPlumbing:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("meanfield", "--k", "3", "--p"),
+        ("meanfield", "--k", "4", "--p", "0.1", "--q0"),
+        ("meanfield", "--k", "3", "--p", "0.1", "--tol"),
+        ("critical", "--k", "3", "--q"),
+        ("critical", "--k", "3", "--tol"),
+        ("simulate", "--graph", "complete:n=50", "--k", "3", "--p"),
+        ("simulate", "--graph", "complete:n=50", "--k", "3", "--p", "0.1", "--q"),
+        ("compare", "--graph", "complete:n=50", "--k", "3", "--p"),
+        ("compare", "--graph", "complete:n=50", "--k", "3", "--p", "0.1", "--q0"),
+        ("compare", "--graph", "complete:n=50", "--k", "3", "--p", "0.1", "--gamma"),
+    ], ids=" ".join)
+    def test_non_finite_float_flag_exits_2(self, capsys, argv, value):
+        # critical --tol inf printed a wrong p*_3 and compare --gamma inf a
+        # document with a non-JSON Infinity, both with exit 0
+        *args, flag = argv
+        code, out, err = run_cli(capsys, *args, f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert f"argument {flag}" in json.loads(err)["error"]
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "critical", "--k", "3", "--bogus", "1")
         assert code == 2

@@ -218,6 +218,14 @@ class TestMeanFieldComparison:
         with pytest.raises(ValueError, match="nonnegative integer"):
             meanfield_comparison(g, params, 0.9, True, 0.02)
 
+    @pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # gamma = inf passed every round; nan failed every round
+        g = generate(GraphSpec(GraphKind.COMPLETE, n=50))
+        params = DynamicsParams(family=Family.KMAJORITY, p=0.05, mode=EDGE, seed=4, k=3)
+        with pytest.raises(ValueError, match="gamma"):
+            meanfield_comparison(g, params, 0.9, 5, gamma)
+
     def test_rejects_det_family(self):
         g = generate(GraphSpec(GraphKind.COMPLETE, n=50))
         params = DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.3,

@@ -531,6 +531,16 @@ class TestCriticalBias:
         with pytest.raises(ValueError):
             critical_bias_kq(3, 1.2)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # tol = inf gave p*_3 = 0.3056 and called k=3, p=0.05 critical;
+        # tol = nan gave p*_{3,0.6} = 0.1111 (the true value is 0.0549)
+        for solve in (lambda: critical_bias_k(3, tol=tol),
+                      lambda: critical_bias_kq(3, 0.6, tol=tol),
+                      lambda: fixed_points(MeanFieldParams(3, 0.05, EDGE), tol=tol)):
+            with pytest.raises(ValueError, match="finite"):
+                solve()
+
 
 class TestTrajectory:
     def test_one_step_value(self):
