@@ -353,3 +353,44 @@ class TestParseGraphSpec:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_graph_spec(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("complete", "graph spec 'complete' must look like 'kind:params'"),
+        ("gnp:n=10,p", "malformed graph parameter 'p' in 'gnp:n=10,p'"),
+        ("complete:n=5,", "malformed graph parameter '' in 'complete:n=5,'"),
+        ("ring:x", "malformed graph parameter 'x' in 'ring:x'"),
+        ("ring:n=5", "unknown graph kind 'ring' (expected complete/gnp/regular/file)"),
+        ("Ring:", "unknown graph kind 'ring' (expected complete/gnp/regular/file)"),
+        ("complete:", "graph spec 'complete:' is missing parameter 'n'"),
+        ("complete:m=5", "graph spec 'complete:m=5' is missing parameter 'n'"),
+        ("gnp:p=0.5", "graph spec 'gnp:p=0.5' is missing parameter 'n'"),
+        ("gnp:n=10", "graph spec 'gnp:n=10' is missing parameter 'p'"),
+        ("regular:n=10", "graph spec 'regular:n=10' is missing parameter 'd'"),
+        ("gnp:n=abc", "invalid literal for int() with base 10: 'abc'"),
+        ("complete:n=abc,x=1", "invalid literal for int() with base 10: 'abc'"),
+        ("gnp:n=10,p=abc", "could not convert string to float: 'abc'"),
+        ("regular:n=10,d=x", "invalid literal for int() with base 10: 'x'"),
+        ("gnp:n=10,p=0.5,x=1", "unknown graph parameters ['x'] in 'gnp:n=10,p=0.5,x=1'"),
+        ("complete:n=5,x=1,a=2", "unknown graph parameters ['a', 'x'] in 'complete:n=5,x=1,a=2'"),
+        ("complete:n=1,x=1", "unknown graph parameters ['x'] in 'complete:n=1,x=1'"),
+        ("complete:n=1", "graph needs n >= 2 nodes, got n=1"),
+        ("gnp:n=10,p=0", "gnp requires edge probability in (0, 1], got 0.0"),
+        ("regular:n=10,d=10", "regular graph requires 1 <= d < n, got d=10"),
+        ("regular:n=5,d=3", "regular graph requires d*n even, got d=3, n=5"),
+        ("file:", "file graph spec requires a path"),
+    ])
+    def test_rejection_messages(self, text, message):
+        # each message, and which one wins when a spec has several faults
+        with pytest.raises(ValueError) as err:
+            parse_graph_spec(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, label", [
+        ("gnp:n=10,p=0.30", "gnp:n=10,p=0.3"),
+        ("gnp:n=10,p=1e-05", "gnp:n=10,p=1e-05"),
+        ("complete:n=1000000", "complete:n=1000000"),
+        ("GNP: n = 10 , p = 0.5", "gnp:n=10,p=0.5"),
+        ("file:a,b=c", "file:a,b=c"),
+    ])
+    def test_label_pins(self, text, label):
+        assert parse_graph_spec(text).label() == label
