@@ -85,6 +85,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """Type of --tol: a finite number above 0, checked at every k."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _emit_error(message: str) -> None:
     json.dump({"schema": 1, "error": str(message)}, sys.stderr)
     sys.stderr.write("\n")
@@ -357,7 +365,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
     p.add_argument("--q0", type=_finite_float, default=None, help="initial value for the orbit")
     p.add_argument("--rounds", type=int, default=200, help="orbit length when --q0 is given")
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_meanfield)
 
     p = sub.add_parser("critical", formatter_class=fmt,
@@ -365,7 +373,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True, help="sample size (odd, >= 3)")
     p.add_argument("--q", type=_finite_float, default=None,
                    help="initial majority level in (1/2,1]")
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("simulate", formatter_class=fmt,

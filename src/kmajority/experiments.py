@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -93,17 +94,11 @@ class SweepSpec:
         for q in self.q_values:
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"initialization grid value {q!r} outside [0, 1]")
-        for k in self.k_values:
-            for p in self.p_values:
-                DynamicsParams(self.family, p, self.mode, k=k, max_rounds=self.max_rounds)
+        for k, p in itertools.product(self.k_values, self.p_values):
+            DynamicsParams(self.family, p, self.mode, k=k, max_rounds=self.max_rounds)
 
     def cells(self) -> list[tuple[int | None, float, float]]:
-        out = []
-        for k in self.k_values:
-            for p in self.p_values:
-                for q in self.q_values:
-                    out.append((k, p, q))
-        return out
+        return list(itertools.product(self.k_values, self.p_values, self.q_values))
 
 
 @dataclass(frozen=True)
@@ -252,10 +247,10 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
         all_seeds.update(seeds)
         if len(all_seeds) < (cell_index + 1) * spec.replicas:
             raise RuntimeError(f"replica seed collision at {where}")
-        plans.append((where, params, seeds, _meanfield_attachment(spec.family, spec.mode, k, p, q)))
+        plans.append((k, p, q, where, params, seeds,
+                      _meanfield_attachment(spec.family, spec.mode, k, p, q)))
     summaries = []
-    for cell_index, ((k, p, q), (where, params, seeds, meanfield)) in enumerate(
-            zip(spec.cells(), plans)):
+    for cell_index, (k, p, q, where, params, seeds, meanfield) in enumerate(plans):
         graph = shared if shared is not None else _cell_graph(spec, cell_index)
         records = []
         for replica, seed in enumerate(seeds):

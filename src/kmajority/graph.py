@@ -52,6 +52,16 @@ class GraphKind(Enum):
     FILE = "file"
 
 
+# The 'kind:key=value,...' spec grammar of every generated kind, read by both
+# parse_graph_spec and GraphSpec.label: (key, GraphSpec field, parser, printer).
+# Integers print with str: ':g' would print n=1000000 as 1e+06.
+_SPEC_ROWS = {
+    GraphKind.COMPLETE: (("n", "n", int, str),),
+    GraphKind.GNP: (("n", "n", int, str), ("p", "edge_prob", float, "{:g}".format)),
+    GraphKind.RANDOM_REGULAR: (("n", "n", int, str), ("d", "degree", int, str)),
+}
+
+
 class GraphFormatError(ValueError):
     """Malformed edge-list file; carries the offending line number."""
 
@@ -97,13 +107,10 @@ class GraphSpec:
 
     def label(self) -> str:
         """Canonical CLI-syntax string for this spec."""
-        if self.kind is GraphKind.COMPLETE:
-            return f"complete:n={self.n}"
-        if self.kind is GraphKind.GNP:
-            return f"gnp:n={self.n},p={self.edge_prob:g}"
-        if self.kind is GraphKind.RANDOM_REGULAR:
-            return f"regular:n={self.n},d={self.degree}"
-        return f"file:{self.path}"
+        if self.kind is GraphKind.FILE:
+            return f"file:{self.path}"
+        return f"{self.kind.value}:" + ",".join(
+            f"{key}={show(getattr(self, field))}" for key, field, _, show in _SPEC_ROWS[self.kind])
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,37 +293,42 @@ _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 def load_edge_list(path: str | Path) -> Graph:
     """Read a whitespace-separated edge list (one undirected edge per line,
     0-indexed, listed once).  '#' lines are comments; an optional '# n=<N>'
-    header pins the node count.  Violations are reported with line numbers.
+    header pins the node count.  Violations, bytes that are not UTF-8
+    included, are reported with line numbers.
     """
     declared_n: int | None = None
     seen: dict[tuple[int, int], int] = {}  # edge (u < v) -> line, in file order
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _HEADER_RE.match(line)
-                if m and declared_n is None:
-                    declared_n = int(m.group(1))
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise GraphFormatError(f"expected two node ids, got {len(tokens)} tokens", lineno)
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(f"non-integer token in {tokens!r}", lineno) from None
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"negative node id in edge ({u}, {v})", lineno)
-            if u == v:
-                raise GraphFormatError(f"self-loop at node {u}", lineno)
-            edge = (min(u, v), max(u, v))
-            if edge in seen:
-                raise GraphFormatError(
-                    f"duplicate edge {edge} (first listed on line {seen[edge]})", lineno
-                )
-            seen[edge] = lineno
+    # bytes.splitlines ends lines where text mode's universal newlines do, and
+    # decoding line by line pins a bad byte to its own line
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: {exc}", lineno) from None
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _HEADER_RE.match(line)
+            if m and declared_n is None:
+                declared_n = int(m.group(1))
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise GraphFormatError(f"expected two node ids, got {len(tokens)} tokens", lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise GraphFormatError(f"non-integer token in {tokens!r}", lineno) from None
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"negative node id in edge ({u}, {v})", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at node {u}", lineno)
+        edge = (min(u, v), max(u, v))
+        if edge in seen:
+            raise GraphFormatError(
+                f"duplicate edge {edge} (first listed on line {seen[edge]})", lineno
+            )
+        seen[edge] = lineno
     if not seen:
         raise GraphFormatError("edge list is empty")
     lo, hi = np.array(list(seen), dtype=np.int64).T
@@ -381,11 +393,11 @@ def density_report(graph: Graph) -> DensityReport:
 def parse_graph_spec(text: str, seed: int = 0) -> GraphSpec:
     """Parse 'complete:n=1000', 'gnp:n=1000,p=0.3', 'regular:n=1000,d=200',
     or 'file:PATH' into a GraphSpec."""
-    kind, sep, rest = text.partition(":")
+    name, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"graph spec {text!r} must look like 'kind:params'")
-    kind = kind.strip().lower()
-    if kind == "file":
+    name = name.strip().lower()
+    if name == "file":
         return GraphSpec(kind=GraphKind.FILE, path=rest, seed=seed)
     params: dict[str, str] = {}
     if rest:
@@ -394,24 +406,14 @@ def parse_graph_spec(text: str, seed: int = 0) -> GraphSpec:
             if not eq:
                 raise ValueError(f"malformed graph parameter {item!r} in {text!r}")
             params[key.strip()] = val.strip()
-    try:
-        if kind == "complete":
-            return GraphSpec(kind=GraphKind.COMPLETE, n=int(params.pop("n")), seed=seed,
-                             **_no_extras(params, text))
-        if kind == "gnp":
-            return GraphSpec(kind=GraphKind.GNP, n=int(params.pop("n")),
-                             edge_prob=float(params.pop("p")), seed=seed,
-                             **_no_extras(params, text))
-        if kind == "regular":
-            return GraphSpec(kind=GraphKind.RANDOM_REGULAR, n=int(params.pop("n")),
-                             degree=int(params.pop("d")), seed=seed,
-                             **_no_extras(params, text))
-    except KeyError as missing:
-        raise ValueError(f"graph spec {text!r} is missing parameter {missing}") from None
-    raise ValueError(f"unknown graph kind {kind!r} (expected complete/gnp/regular/file)")
-
-
-def _no_extras(params: dict, text: str) -> dict:
+    kind = next((each for each in _SPEC_ROWS if each.value == name), None)
+    if kind is None:
+        raise ValueError(f"unknown graph kind {name!r} (expected complete/gnp/regular/file)")
+    fields = {}
+    for key, field, parse, _ in _SPEC_ROWS[kind]:
+        if key not in params:
+            raise ValueError(f"graph spec {text!r} is missing parameter {key!r}")
+        fields[field] = parse(params.pop(key))
     if params:
         raise ValueError(f"unknown graph parameters {sorted(params)} in {text!r}")
-    return {}
+    return GraphSpec(kind=kind, seed=seed, **fields)

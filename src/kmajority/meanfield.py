@@ -1,20 +1,22 @@
 """Mean-field analysis of biased k-majority dynamics.
 
 The per-round update of a node that samples ``k`` neighbors with replacement
-is summarized by a scalar map on [0, 1]:
+is summarized by a scalar map on [0, 1].  Ties (even k) are broken uniformly
+at random, so a node that perceives an R share z turns R with probability
+G(z) = P(Bin(k, z) > k/2) + P(Bin(k, z) = k/2) / 2:
 
 * edge bias (Z-channel noise on every read, strength ``p``)::
 
-      F(x) = P(Bin(k, (1-p) x) >= (k+1)/2)
+      F(x) = G((1-p) x)
 
 * node bias (node corrupted outright with probability ``p``)::
 
-      Fhat(x) = (1-p) P(Bin(k, x) >= (k+1)/2)
+      Fhat(x) = (1-p) G(x)
 
 Iterating the map gives the mean-field trajectory of the fraction of nodes
-holding the initial majority state.  This module evaluates both maps and
-their first two derivatives exactly (to double precision), locates their
-fixed points {0, phi_minus, phi_plus} and the tangency point mu where
+holding the initial majority state.  This module evaluates both maps (and,
+for odd k, their first two derivatives) exactly to double precision, locates
+their fixed points {0, phi_minus, phi_plus} and the tangency point mu where
 F' = 1, and computes the critical bias values:
 
 * ``p_star_k``   -- largest bias admitting a nontrivial fixed point;
@@ -41,7 +43,6 @@ __all__ = [
     "binom_pmf",
     "binom_tail_geq",
     "eval_F",
-    "eval_F_even",
     "eval_dF",
     "eval_d2F",
     "fixed_points",
@@ -249,75 +250,59 @@ def _check_x(x: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _contraction(params: MeanFieldParams) -> tuple[float, float]:
+    """(inner, outer) with the map equal to outer * G(inner * x): edge bias
+    contracts the argument, node bias the value.  The other factor is 1.0,
+    and multiplying by 1.0 is exact."""
+    s = 1.0 - params.p
+    return (s, 1.0) if params.mode is BiasMode.EDGE else (1.0, s)
+
+
 def eval_F(params: MeanFieldParams, x: float) -> float:
-    """Update map for odd sample sizes.
-
-    Edge bias: P(Bin(k, (1-p) x) >= (k+1)/2).
-    Node bias: (1-p) P(Bin(k, x) >= (k+1)/2).
-    """
+    """Update map for every sample size: outer * G(inner * x), where a tie
+    (even k only) counts with weight 1/2.  Even k agrees with k-1."""
     _check_x(x)
-    k, p = params.k, params.p
+    k = params.k
+    inner, outer = _contraction(params)
+    z = inner * x
+    g = binom_tail_geq(k, z, k // 2 + 1)
     if k % 2 == 0:
-        raise ValueError(f"eval_F requires odd k (got k={k}); use eval_F_even")
-    m = (k + 1) // 2
-    if params.mode is BiasMode.EDGE:
-        return binom_tail_geq(k, (1.0 - p) * x, m)
-    return (1.0 - p) * binom_tail_geq(k, x, m)
-
-
-def eval_F_even(params: MeanFieldParams, x: float) -> float:
-    """Update map for even sample sizes; ties count with weight 1/2.
-
-    P(Bin(k, z) > k/2) + P(Bin(k, z) = k/2) / 2 with z = (1-p) x for edge
-    bias, or z = x and an overall (1-p) factor for node bias.  Agrees with
-    eval_F at sample size k-1 (same mode).
-    """
-    _check_x(x)
-    k, p = params.k, params.p
-    if k % 2 == 1:
-        raise ValueError(f"eval_F_even requires even k, got k={k}")
-    h = k // 2
-    if params.mode is BiasMode.EDGE:
-        z = (1.0 - p) * x
-        return binom_tail_geq(k, z, h + 1) + 0.5 * binom_pmf(k, h, z)
-    return (1.0 - p) * (binom_tail_geq(k, x, h + 1) + 0.5 * binom_pmf(k, h, x))
+        g += 0.5 * binom_pmf(k, k // 2, z)
+    return outer * g
 
 
 def eval_dF(params: MeanFieldParams, x: float) -> float:
     """First derivative of the update map (odd k).
 
-    Edge bias: k (1-p) P(Bin(k-1, (1-p) x) = (k-1)/2); node bias replaces the
-    pmf argument (1-p) x by x (chain rule through the axis contraction).
+    k (1-p) P(Bin(k-1, inner x) = (k-1)/2): the factor 1-p is the chain
+    rule for edge bias and the outer factor for node bias.
     """
     _check_x(x)
     k, p = params.k, params.p
     if k % 2 == 0:
         raise ValueError(f"eval_dF requires odd k, got k={k}")
-    h = (k - 1) // 2
-    u = (1.0 - p) * x if params.mode is BiasMode.EDGE else x
-    return k * (1.0 - p) * binom_pmf(k - 1, h, u)
+    inner, _ = _contraction(params)
+    return k * (1.0 - p) * binom_pmf(k - 1, (k - 1) // 2, inner * x)
 
 
 def eval_d2F(params: MeanFieldParams, x: float) -> float:
     """Second derivative of the update map (odd k).
 
-    Edge bias: k (k-1) (1-p)^2 C(k-2, (k-1)/2) (u - u^2)^((k-3)/2) (1 - 2u)
-    with u = (1-p) x; positive exactly on u < 1/2, i.e. x < 1/(2(1-p)).
-    Node bias: same with u = x and prefactor k (k-1) (1-p).  For k = 1 the
-    map is linear and the second derivative is identically 0.
+    k (k-1) inner^2 outer C(k-2, (k-1)/2) (u - u^2)^((k-3)/2) (1 - 2u) with
+    u = inner x; for edge bias positive exactly on u < 1/2, i.e.
+    x < 1/(2(1-p)).  For k = 1 the map is linear and the second derivative
+    is identically 0.
     """
     _check_x(x)
-    k, p = params.k, params.p
+    k = params.k
     if k % 2 == 0:
         raise ValueError(f"eval_d2F requires odd k, got k={k}")
     if k == 1:
         return 0.0
-    if params.mode is BiasMode.EDGE:
-        u = (1.0 - p) * x
-        scale = k * (k - 1) * (1.0 - p) ** 2
-    else:
-        u = x
-        scale = k * (k - 1) * (1.0 - p)
+    inner, outer = _contraction(params)
+    u = inner * x
+    # inner ** 2 keeps edge bias's (1-p)^2 rounded once
+    scale = k * (k - 1) * inner**2 * outer
     if k == 3:
         return scale * (1.0 - 2.0 * u)
     if u <= 0.0 or u >= 1.0:
@@ -415,8 +400,8 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
     """
     k, p = params.k, params.p
     _check_solver_args(k, tol)
-    # the node-bias map is the edge-bias map contracted by s = 1 - p
-    s = 1.0 - p if params.mode is BiasMode.NODE else 1.0
+    # the node-bias map is the edge-bias map contracted by its outer factor
+    _, s = _contraction(params)
     edge = MeanFieldParams(k, p, BiasMode.EDGE)
     regime, mu, psi_mu = _classify(edge, tol)
     if regime is Regime.SUPERCRITICAL:
@@ -508,13 +493,11 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
 
 
 def trajectory(params: MeanFieldParams, q0: float, T: int) -> Trajectory:
-    """Iterate the update map T times from q0 (even k dispatches to the
-    tie-aware map, which follows the same law as k-1)."""
+    """Iterate the update map T times from q0."""
     _check_x(q0)
     if type(T) is not int or T < 0:
         raise ValueError(f"round count T must be a nonnegative integer, got {T!r}")
-    step = eval_F if params.k % 2 == 1 else eval_F_even
     values = [float(q0)]
     for _ in range(T):
-        values.append(step(params, values[-1]))
+        values.append(eval_F(params, values[-1]))
     return Trajectory(q0=float(q0), values=values, params=params)

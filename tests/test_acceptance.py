@@ -28,7 +28,6 @@ from kmajority.meanfield import (
     critical_bias_k,
     critical_bias_kq,
     eval_F,
-    eval_F_even,
     eval_dF,
     eval_d2F,
     fixed_points,
@@ -94,7 +93,7 @@ def test_criterion_03_even_odd_equivalence_analytic():
                 pe = MeanFieldParams(k, float(p), mode)
                 po = MeanFieldParams(k - 1, float(p), mode)
                 for x in xs:
-                    worst = max(worst, abs(eval_F_even(pe, float(x)) - eval_F(po, float(x))))
+                    worst = max(worst, abs(eval_F(pe, float(x)) - eval_F(po, float(x))))
     assert worst <= 1e-12
     report(3, f"max |F_even(k) - F(k-1)| = {worst:.2e}")
 

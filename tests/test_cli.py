@@ -149,6 +149,19 @@ class TestSimulateCommand:
                                "--k", "3", "--p", "0.1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--graph", "file:{}", "--k", "3", "--p", "0.1"),
+        ("graphgen", "--spec", "file:{}", "--out", "{}.out"),
+    ], ids=lambda argv: argv[0])
+    def test_non_utf8_graph_file_is_runtime_error(self, capsys, tmp_path, argv):
+        # exited 2 with a bare codec message; a malformed edge list exits 1
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff\xfe0 1\n")
+        code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("line 1: not UTF-8 text")
+        assert not (tmp_path / "bad.edges.out").exists()
+
     @pytest.mark.parametrize("trace", ["afile/t.csv", "adir"])
     def test_unwritable_trace_runs_nothing(self, capsys, tmp_path, count_calls, trace):
         # a trace path under a file or naming a directory used to fail with
@@ -510,6 +523,20 @@ class TestCLIPlumbing:
         code, out, err = run_cli(capsys, *args, f"{flag}={value}")
         assert (code, out) == (2, "")
         assert f"argument {flag}" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
+    @pytest.mark.parametrize("argv", [
+        ("meanfield", "--k", "3", "--p", "0.1"),
+        ("meanfield", "--k", "4", "--p", "0.1", "--q0", "0.9"),
+        ("meanfield", "--k", "1", "--p", "0.1", "--q0", "0.9"),
+        ("critical", "--k", "3"),
+        ("critical", "--k", "3", "--q", "0.6"),
+    ], ids=" ".join)
+    def test_non_positive_tol_exits_2(self, capsys, argv, value):
+        # meanfield --k 4 ... --tol -1 used to exit 0 and print the tolerance
+        code, out, err = run_cli(capsys, *argv, f"--tol={value}")
+        assert (code, out) == (2, "")
+        assert "argument --tol" in json.loads(err)["error"]
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "critical", "--k", "3", "--bogus", "1")

@@ -24,7 +24,6 @@ from kmajority.meanfield import (
     eval_d2F,
     eval_dF,
     eval_F,
-    eval_F_even,
     fixed_points,
     trajectory,
 )
@@ -65,8 +64,8 @@ def test_trajectory_k501():
     ]
 
 
-# sha256 over the float.hex() of the tie-aware map (even k) and of F, F' and
-# F'' (odd k): k in {1, 2, 3, 4, 5, 10, 101, 1000}, both modes,
+# sha256 over the float.hex() of F (even k, ties at weight 1/2) and of F, F'
+# and F'' (odd k): k in {1, 2, 3, 4, 5, 10, 101, 1000}, both modes,
 # p in {0, 0.1, 0.45, 1} and x = i/50 for i = 0..50
 UPDATE_MAP_GRID = "b6aa7f6db3088b8992f072ae7c851556cc1b2e4f24016bcc420e9b72fa4f9d59"
 
@@ -77,7 +76,7 @@ def test_update_map_grid():
         for mode in BiasMode:
             for p in (0.0, 0.1, 0.45, 1.0):
                 params = MeanFieldParams(k, p, mode)
-                for f in (eval_F, eval_dF, eval_d2F) if k % 2 else (eval_F_even,):
+                for f in (eval_F, eval_dF, eval_d2F) if k % 2 else (eval_F,):
                     for i in range(51):
                         digest.update(f"{f(params, i / 50).hex()}\n".encode())
     assert digest.hexdigest() == UPDATE_MAP_GRID

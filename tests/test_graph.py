@@ -160,6 +160,28 @@ class TestEdgeListIO:
             load_edge_list(path)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("content,line", [
+        (b"\xff\xfe0 1\n", 1),
+        (b"0 1\n1 2\n\xe9 3\n", 3),
+        # far past the first read-ahead chunk of a text-mode file
+        (b"".join(b"%d %d\n" % (i, i + 1) for i in range(5000)) + b"0 \xff\n", 5001),
+    ], ids=["line-1", "line-3", "past-read-ahead"])
+    def test_non_utf8_reports_line(self, tmp_path, content, line):
+        # a bad byte used to surface as a bare codec error, a ValueError
+        # rather than a GraphFormatError, with no line number
+        path = tmp_path / "bad.edges"
+        path.write_bytes(content)
+        with pytest.raises(GraphFormatError) as err:
+            load_edge_list(path)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: not UTF-8 text")
+
+    def test_line_ends_as_text_mode(self, tmp_path):
+        path = tmp_path / "cr.edges"
+        path.write_bytes(b"0 1\r1 2\r\n\n2 0\n")
+        g = load_edge_list(path)
+        assert (g.n, g.edge_count) == (3, 3)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.edges"
         path.write_text("# nothing\n")

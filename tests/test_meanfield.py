@@ -24,7 +24,6 @@ from kmajority.meanfield import (
     critical_bias_k,
     critical_bias_kq,
     eval_F,
-    eval_F_even,
     eval_dF,
     eval_d2F,
     fixed_points,
@@ -230,11 +229,7 @@ class TestEvalF:
 
     def test_rejects(self):
         with pytest.raises(ValueError):
-            eval_F(MeanFieldParams(4, 0.1, EDGE), 0.5)
-        with pytest.raises(ValueError):
             eval_F(MeanFieldParams(3, 0.1, EDGE), 1.5)
-        with pytest.raises(ValueError):
-            eval_F_even(MeanFieldParams(3, 0.1, EDGE), 0.5)
 
     def test_even_odd_equivalence(self):
         worst = 0.0
@@ -245,16 +240,16 @@ class TestEvalF:
                     pe = MeanFieldParams(k, float(p), mode)
                     po = MeanFieldParams(k - 1, float(p), mode)
                     for x in xs:
-                        diff = abs(eval_F_even(pe, float(x)) - eval_F(po, float(x)))
+                        diff = abs(eval_F(pe, float(x)) - eval_F(po, float(x)))
                         worst = max(worst, diff)
         assert worst <= 1e-12
 
     def test_even_examples(self):
-        assert eval_F_even(MeanFieldParams(4, 0.0, EDGE), 0.5) == pytest.approx(0.5, abs=1e-15)
-        assert eval_F_even(MeanFieldParams(4, 1 / 9, EDGE), 27 / 32) == pytest.approx(
+        assert eval_F(MeanFieldParams(4, 0.0, EDGE), 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert eval_F(MeanFieldParams(4, 1 / 9, EDGE), 27 / 32) == pytest.approx(
             27 / 32, abs=1e-13
         )
-        assert eval_F_even(MeanFieldParams(2, 1.0, NODE), 1.0) == 0.0
+        assert eval_F(MeanFieldParams(2, 1.0, NODE), 1.0) == 0.0
 
     def test_scaling_identity(self):
         worst = 0.0
