@@ -239,11 +239,19 @@ SWEEPS = {
         "p_grid": [0.1, 0.45], "q_grid": [0.7], "replicas": 3, "base_seed": 12,
         "share_graph": False,
     },
+    # k omitted (the loader's voter default k = [1] enters the replica seeds),
+    # a p_grid range (linspace bytes) and a graph_seed apart from base_seed
+    "voter-node-range": {
+        "graph": "gnp:n=200,p=0.3", "family": "voter", "mode": "node",
+        "p_grid": {"min": 0.05, "max": 0.2, "steps": 3}, "q_grid": [0.9], "replicas": 3,
+        "max_rounds": 60, "graph_seed": 5, "base_seed": 13, "share_graph": False,
+    },
 }
 
 SWEEP_DIGESTS = {
     "kmaj-edge": "199058ade3b3eff65311b112ca8a3e2c4a55c5d44e82cf14df9c251c30756ea3",
     "det-node-fresh-graphs": "8535f969cd2e9a913d2fd56f406fd5d596a1f87e343dc5e9c7f3584b62f7e40d",
+    "voter-node-range": "a33e2df449ed73f12bf3e927ab1e42525c859eaca0f47f520e2cde534aec3d1c",
 }
 
 
