@@ -73,24 +73,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _finite_float(text: str) -> float:
-    """Type of every float flag: NaN and +-inf are refused up front (JSON has
-    no literal for them)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _number(what: str = "a finite number", ok=lambda value: True, cast=float):
+    """Type of a numeric flag, so its range is checked before any work: the
+    text read by ``cast``, finite (JSON has no literal for NaN or +-inf) and
+    passing ``ok``, which ``what`` describes."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        # chained comparisons, not math.isfinite, which overflows on huge ints
+        if not (-math.inf < value < math.inf and ok(value)):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """Type of --tol: a finite number above 0, checked at every k."""
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+_FINITE = _number()
+_POSITIVE = _number("a finite number above 0", lambda value: value > 0.0)
+_NON_NEGATIVE = _number("a finite number >= 0", lambda value: value >= 0.0)
+_UNIT = _number("a number in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+_COUNT = _number("an integer >= 0", lambda value: value >= 0, cast=int)
 
 
 def _emit_error(message: str) -> None:
@@ -141,7 +144,7 @@ def _cmd_meanfield(args) -> dict:
         )
     if args.q0 is not None:
         orbit = trajectory(params, args.q0, args.rounds)
-        doc["trajectory"] = {"q0": args.q0, "rounds": args.rounds, "values": orbit.values}
+        doc["trajectory"] = {"q0": args.q0, "rounds": args.rounds, "values": orbit}
     return doc
 
 
@@ -211,16 +214,16 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_compare(args) -> dict:
-    spec = parse_graph_spec(args.graph, seed=args.seed)
-    graph = generate(spec)
     params = DynamicsParams(family=Family.KMAJORITY, p=args.p, mode=BiasMode(args.mode),
                             seed=args.seed, k=args.k)
+    spec = parse_graph_spec(args.graph, seed=args.seed)
+    graph = generate(spec)
     report = meanfield_comparison(graph, params, args.q0, args.rounds, args.gamma)
     return {
         "schema": 1,
         "pass": report.passed,
-        "gamma": report.gamma,
-        "q0": report.q0,
+        "gamma": args.gamma,
+        "q0": args.q0,
         "rounds": args.rounds,
         "deviations": report.deviations,
         "mean_field": report.mean_field,
@@ -361,19 +364,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("meanfield", formatter_class=fmt,
                        help="fixed points, regime, and optional mean-field orbit")
     p.add_argument("--k", type=int, required=True, help="sample size")
-    p.add_argument("--p", type=_finite_float, required=True, help="bias strength in [0,1]")
+    p.add_argument("--p", type=_FINITE, required=True, help="bias strength in [0,1]")
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
-    p.add_argument("--q0", type=_finite_float, default=None, help="initial value for the orbit")
-    p.add_argument("--rounds", type=int, default=200, help="orbit length when --q0 is given")
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--q0", type=_UNIT, default=None, help="initial value for the orbit")
+    p.add_argument("--rounds", type=_COUNT, default=200, help="orbit length when --q0 is given")
+    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_meanfield)
 
     p = sub.add_parser("critical", formatter_class=fmt,
                        help="critical bias p*_k and optionally p*_{k,q}")
     p.add_argument("--k", type=int, required=True, help="sample size (odd, >= 3)")
-    p.add_argument("--q", type=_finite_float, default=None,
+    p.add_argument("--q", type=_FINITE, default=None,
                    help="initial majority level in (1/2,1]")
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL, help="solver tolerance")
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("simulate", formatter_class=fmt,
@@ -383,9 +386,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", choices=[f.value for f in Family], default="kmaj",
                    help="update family")
     p.add_argument("--k", type=int, default=None, help="sample size (kmaj only)")
-    p.add_argument("--p", type=_finite_float, required=True, help="bias strength in [0,1]")
+    p.add_argument("--p", type=_FINITE, required=True, help="bias strength in [0,1]")
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
-    p.add_argument("--q", type=_finite_float, default=1.0, help="initial per-node R probability")
+    p.add_argument("--q", type=_UNIT, default=1.0, help="initial per-node R probability")
     p.add_argument("--seed", type=int, default=0, help="seed for graph, init, and rounds")
     p.add_argument("--max-rounds", type=int, default=None,
                    help="round cap (default: 10 ln n + 200)")
@@ -403,11 +406,11 @@ def _build_parser() -> _Parser:
                        help="simulation vs mean-field orbit, per-round sup deviation")
     p.add_argument("--graph", required=True, help="graph spec string")
     p.add_argument("--k", type=int, required=True, help="sample size")
-    p.add_argument("--p", type=_finite_float, required=True, help="bias strength in [0,1]")
+    p.add_argument("--p", type=_FINITE, required=True, help="bias strength in [0,1]")
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
-    p.add_argument("--q0", type=_finite_float, default=1.0, help="initial per-node R probability")
-    p.add_argument("--rounds", type=int, default=50, help="rounds to compare")
-    p.add_argument("--gamma", type=_finite_float, default=_DEFAULT_GAMMA, help="tolerance band")
+    p.add_argument("--q0", type=_UNIT, default=1.0, help="initial per-node R probability")
+    p.add_argument("--rounds", type=_COUNT, default=50, help="rounds to compare")
+    p.add_argument("--gamma", type=_NON_NEGATIVE, default=_DEFAULT_GAMMA, help="tolerance band")
     p.add_argument("--seed", type=int, default=0, help="seed for graph, init, and rounds")
     p.set_defaults(handler=_cmd_compare)
 

@@ -136,19 +136,20 @@ class RunRecord:
 
     ``tau`` is the first round whose B volume fraction strictly exceeds 1/2;
     when the round cap ``max_rounds`` was reached with the R majority
-    intact, ``tau`` is None and ``censored`` is True (the cap is then a
+    intact, ``tau`` is None and the run is ``censored`` (the cap is then a
     lower bound on the true disruption time).  ``trajectory`` holds the R
     volume fraction for every simulated round, index 0 included.
     """
 
     tau: int | None
-    censored: bool
     trajectory: list[float]
-    seed: int
-    params: DynamicsParams
     max_rounds: int
     phi_min: list[float] | None = None
     phi_max: list[float] | None = None
+
+    @property
+    def censored(self) -> bool:
+        return self.tau is None
 
     @property
     def final_r_fraction(self) -> float:
@@ -207,10 +208,10 @@ def r_neighbor_counts(graph: Graph, states: np.ndarray) -> np.ndarray:
     return graph.r_neighbor_counts(states)
 
 
-def phi_stats(graph: Graph, config: Configuration) -> tuple[float, float, float]:
-    """(min, mean, max) over nodes of the R-neighbor fraction."""
+def phi_stats(graph: Graph, config: Configuration) -> tuple[float, float]:
+    """(min, max) over nodes of the R-neighbor fraction."""
     phi = r_neighbor_counts(graph, config.states) / graph.degrees
-    return float(phi.min()), float(phi.mean()), float(phi.max())
+    return float(phi.min()), float(phi.max())
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,7 @@ def run(
     while True:
         trajectory.append(config.r_volume / vol)
         if record_phi:
-            lo, _, hi = phi_stats(graph, config)
+            lo, hi = phi_stats(graph, config)
             phi_min.append(lo)
             phi_max.append(hi)
         disrupted = _disrupted(graph, config)
@@ -365,13 +366,9 @@ def run(
             break
         config = step(graph, config, params)
         t += 1
-    tau = t if disrupted else None
     return RunRecord(
-        tau=tau,
-        censored=tau is None,
+        tau=t if disrupted else None,
         trajectory=trajectory,
-        seed=params.seed,
-        params=params,
         max_rounds=max_rounds,
         phi_min=phi_min,
         phi_max=phi_max,

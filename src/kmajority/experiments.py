@@ -136,21 +136,16 @@ class ComparisonReport:
     """Per-round sup-node deviation of simulated R-neighbor fractions from
     the mean-field orbit, judged against a tolerance gamma."""
 
-    gamma: float
-    q0: float
     deviations: list[float]
     mean_field: list[float]
     rounds_passed: list[bool]
     passed: bool
-    params: DynamicsParams
 
 
 @dataclass(frozen=True)
 class DisruptionCurve:
     """p -> (median tau, censored fraction) table for one (k, q)."""
 
-    k: int | None
-    q: float
     rows: list[tuple[float, float, float]]
     knee: float | None
     p_star_kq: float | None
@@ -287,19 +282,18 @@ def meanfield_comparison(graph: Graph, params: DynamicsParams, q0: float,
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     k = params.sample_size
-    orbit = trajectory(MeanFieldParams(k, params.p, params.mode), q0, T).values
+    orbit = trajectory(MeanFieldParams(k, params.p, params.mode), q0, T)
     config = init_random(graph, q0, params.seed)
     deviations: list[float] = []
     for t in range(T + 1):
         # max over nodes of |phi - c| is max(phi_max - c, c - phi_min), bit for bit
-        lo, _, hi = phi_stats(graph, config)
+        lo, hi = phi_stats(graph, config)
         deviations.append(max(hi - orbit[t], orbit[t] - lo))
         if t < T:
             config = step(graph, config, params)
     rounds_passed = [d <= gamma for d in deviations]
-    return ComparisonReport(gamma=gamma, q0=float(q0), deviations=deviations,
-                            mean_field=orbit, rounds_passed=rounds_passed,
-                            passed=all(rounds_passed), params=params)
+    return ComparisonReport(deviations=deviations, mean_field=orbit,
+                            rounds_passed=rounds_passed, passed=all(rounds_passed))
 
 
 def disruption_curve(spec: SweepSpec) -> DisruptionCurve:
@@ -312,8 +306,7 @@ def disruption_curve(spec: SweepSpec) -> DisruptionCurve:
     rows = [(c.p, c.tau_median, c.censored_fraction) for c in cells_sorted]
     knee = next((p for p, _, frac in rows if frac < 0.5), None)
     p_star_kq = cells_sorted[0].meanfield.get("p_star_kq")
-    return DisruptionCurve(k=spec.k_values[0], q=spec.q_values[0], rows=rows,
-                           knee=knee, p_star_kq=p_star_kq, cells=cells)
+    return DisruptionCurve(rows=rows, knee=knee, p_star_kq=p_star_kq, cells=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,14 @@ class GraphSpec:
             if not self.path:
                 raise ValueError("file graph spec requires a path")
             return
-        if self.n < 2:
+        if type(self.n) is not int or self.n < 2:
             raise ValueError(f"graph needs n >= 2 nodes, got n={self.n}")
         if self.kind is GraphKind.GNP:
             if self.edge_prob is None or not 0.0 < self.edge_prob <= 1.0:
                 raise ValueError(f"gnp requires edge probability in (0, 1], got {self.edge_prob!r}")
         if self.kind is GraphKind.RANDOM_REGULAR:
             d = self.degree
-            if d is None or d < 1 or d >= self.n:
+            if type(d) is not int or d < 1 or d >= self.n:
                 raise ValueError(f"regular graph requires 1 <= d < n, got d={d!r}")
             if (d * self.n) % 2 != 0:
                 raise ValueError(f"regular graph requires d*n even, got d={d}, n={self.n}")
@@ -133,10 +133,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.total_volume // 2
-
-    @property
-    def is_complete(self) -> bool:
-        return self.total_volume == self.n * (self.n - 1)
 
     def edges(self):
         """Iterate edges once each as (u, v) with u < v."""
@@ -363,26 +359,12 @@ class DensityReport:
     """
 
     min_degree: int
-    max_degree: int
-    mean_degree: float
-    log_n: float
-    min_degree_over_log_n: float
     warning: bool
 
 
 def density_report(graph: Graph) -> DensityReport:
-    if graph.n < 2:
-        raise ValueError("density report needs n >= 2")
-    log_n = math.log(graph.n)
     dmin = int(graph.degrees.min())
-    return DensityReport(
-        min_degree=dmin,
-        max_degree=int(graph.degrees.max()),
-        mean_degree=float(graph.degrees.mean()),
-        log_n=log_n,
-        min_degree_over_log_n=dmin / log_n,
-        warning=dmin < 4.0 * log_n,
-    )
+    return DensityReport(min_degree=dmin, warning=dmin < 4.0 * math.log(graph.n))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "MeanFieldParams",
     "FixedPointSet",
     "CriticalValues",
-    "Trajectory",
     "binom_pmf",
     "binom_tail_geq",
     "eval_F",
@@ -100,17 +99,16 @@ class MeanFieldParams:
 class FixedPointSet:
     """Solutions of F(x) = x in [0, 1].
 
-    ``trivial_root`` (0) is always present.  ``phi_minus``/``phi_plus`` are
-    the unstable/stable nontrivial roots when they exist; in the critical
-    regime they coincide.  ``mu`` is the tangency abscissa with F'(mu) = 1,
-    reported whenever the solver located it.
+    0 is always a root.  ``phi_minus``/``phi_plus`` are the unstable/stable
+    nontrivial roots when they exist; in the critical regime they coincide.
+    ``mu`` is the tangency abscissa with F'(mu) = 1, reported whenever the
+    solver located it.
     """
 
     regime: Regime
     phi_minus: float | None
     phi_plus: float | None
     mu: float | None
-    trivial_root: float = 0.0
 
     def nontrivial_roots(self) -> list[float]:
         if self.regime is Regime.SUPERCRITICAL:
@@ -120,7 +118,7 @@ class FixedPointSet:
         return [self.phi_minus, self.phi_plus]
 
     def roots(self) -> list[float]:
-        return [self.trivial_root] + self.nontrivial_roots()
+        return [0.0] + self.nontrivial_roots()
 
 
 @dataclass(frozen=True)
@@ -133,15 +131,6 @@ class CriticalValues:
     p_star_k: float
     p_star_kq: float | None
     tolerance: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Deterministic orbit q0, F(q0), F(F(q0)), ..."""
-
-    q0: float
-    values: list[float]
-    params: MeanFieldParams
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +481,12 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
 # ---------------------------------------------------------------------------
 
 
-def trajectory(params: MeanFieldParams, q0: float, T: int) -> Trajectory:
-    """Iterate the update map T times from q0."""
+def trajectory(params: MeanFieldParams, q0: float, T: int) -> list[float]:
+    """The orbit q0, F(q0), F(F(q0)), ... of T applications of the map."""
     _check_x(q0)
     if type(T) is not int or T < 0:
         raise ValueError(f"round count T must be a nonnegative integer, got {T!r}")
     values = [float(q0)]
     for _ in range(T):
         values.append(eval_F(params, values[-1]))
-    return Trajectory(q0=float(q0), values=values, params=params)
+    return values

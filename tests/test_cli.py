@@ -502,6 +502,25 @@ class TestSweepCommand:
         assert json.loads(err.splitlines()[-1])["error"]
 
 
+# command line -> its error: each is refused before any graph build or solve
+UP_FRONT_REJECTIONS = {
+    "compare --graph gnp:n=3000,p=0.5 --k 3 --p 0.1 --gamma -1":
+        "argument --gamma: expected a finite number >= 0, got '-1'",
+    "compare --graph gnp:n=3000,p=0.5 --k 3 --p 0.1 --q0 1.5":
+        "argument --q0: expected a number in [0, 1], got '1.5'",
+    "compare --graph gnp:n=3000,p=0.5 --k 3 --p 0.1 --rounds -1":
+        "argument --rounds: expected an integer >= 0, got '-1'",
+    "compare --graph gnp:n=3000,p=0.5 --k 0 --p 0.1":
+        "k-majority requires 1 <= k <= 10000, got k=0",
+    "simulate --graph gnp:n=3000,p=0.5 --k 3 --p 0.1 --q 1.5":
+        "argument --q: expected a number in [0, 1], got '1.5'",
+    "meanfield --k 1001 --p 0.4 --q0 1.5":
+        "argument --q0: expected a number in [0, 1], got '1.5'",
+    "meanfield --k 1001 --p 0.4 --q0 0.9 --rounds -1":
+        "argument --rounds: expected an integer >= 0, got '-1'",
+}
+
+
 class TestCLIPlumbing:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [
@@ -537,6 +556,15 @@ class TestCLIPlumbing:
         code, out, err = run_cli(capsys, *argv, f"--tol={value}")
         assert (code, out) == (2, "")
         assert "argument --tol" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("case", sorted(UP_FRONT_REJECTIONS))
+    def test_out_of_range_flag_does_no_work(self, capsys, count_calls, case):
+        # each used to build its graph or solve the fixed points, then exit 2
+        builds = count_calls(cli, "generate")
+        solves = count_calls(cli, "fixed_points")
+        code, out, err = run_cli(capsys, *case.split())
+        assert (code, out, len(builds), len(solves)) == (2, "", 0, 0)
+        assert json.loads(err)["error"] == UP_FRONT_REJECTIONS[case]
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "critical", "--k", "3", "--bogus", "1")

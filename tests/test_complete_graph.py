@@ -113,7 +113,7 @@ def test_kmajority_count_is_exact(tmp_path, k, mode):
 def test_storage_follows_origin_not_edge_set(tmp_path):
     generated, loaded = complete_pair(30, tmp_path)
     assert isinstance(generated, CompleteGraph)
-    assert type(loaded) is Graph and loaded.is_complete
+    assert type(loaded) is Graph and loaded.total_volume == loaded.n * (loaded.n - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 64])

@@ -265,11 +265,11 @@ class TestRNeighborCounts:
     def test_phi_stats_hand_count(self):
         g = complete(3)
         cfg = make_configuration(g, np.array([True, True, False]))
-        assert phi_stats(g, cfg) == pytest.approx((0.5, 2 / 3, 1.0))
+        assert phi_stats(g, cfg) == (0.5, 1.0)
         all_r = make_configuration(g, np.ones(3, dtype=bool))
-        assert phi_stats(g, all_r) == (1.0, 1.0, 1.0)
+        assert phi_stats(g, all_r) == (1.0, 1.0)
         all_b = make_configuration(g, np.zeros(3, dtype=bool))
-        assert phi_stats(g, all_b) == (0.0, 0.0, 0.0)
+        assert phi_stats(g, all_b) == (0.0, 0.0)
 
 
 class TestRun:

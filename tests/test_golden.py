@@ -52,7 +52,7 @@ def test_fixed_points_k501():
 
 
 def test_trajectory_k501():
-    orbit = trajectory(MeanFieldParams(501, 0.4, BiasMode.EDGE), 0.9, 6).values
+    orbit = trajectory(MeanFieldParams(501, 0.4, BiasMode.EDGE), 0.9, 6)
     assert [v.hex() for v in orbit] == [
         "0x1.ccccccccccccdp-1",
         "0x1.ed606f524a70cp-1",

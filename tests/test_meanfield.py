@@ -541,41 +541,41 @@ class TestTrajectory:
     def test_one_step_value(self):
         # P(Bin(3, 0.95) >= 2) = 3 * 0.95^2 * 0.05 + 0.95^3 = 0.99275
         tr = trajectory(MeanFieldParams(3, 0.05, EDGE), 1.0, 1)
-        assert tr.values[1] == pytest.approx(0.99275, abs=1e-12)
+        assert tr[1] == pytest.approx(0.99275, abs=1e-12)
 
     def test_converges_to_phi_plus(self):
         tr = trajectory(MeanFieldParams(3, 0.05, EDGE), 1.0, 200)
-        assert abs(tr.values[-1] - PHI_PLUS_005) < 1e-9
+        assert abs(tr[-1] - PHI_PLUS_005) < 1e-9
 
     def test_supercritical_decay(self):
         tr = trajectory(MeanFieldParams(3, 0.2, EDGE), 1.0, 200)
-        assert tr.values[-1] < 1e-6
+        assert tr[-1] < 1e-6
 
     def test_below_basin_goes_to_zero(self):
         tr = trajectory(MeanFieldParams(3, 0.05, EDGE), 0.55, 400)
-        assert tr.values[-1] < 1e-9  # 0.55 < phi_minus ~ 0.589
+        assert tr[-1] < 1e-9  # 0.55 < phi_minus ~ 0.589
 
     def test_node_mode_limit(self):
         tr = trajectory(MeanFieldParams(3, 0.05, NODE), 1.0, 300)
-        assert tr.values[-1] == pytest.approx(0.95 * PHI_PLUS_005, abs=1e-9)
+        assert tr[-1] == pytest.approx(0.95 * PHI_PLUS_005, abs=1e-9)
 
     def test_step_consistency_and_bounds(self):
         params = MeanFieldParams(3, 0.07, EDGE)
         tr = trajectory(params, 0.9, 25)
-        assert len(tr.values) == 26
-        for a, b in zip(tr.values, tr.values[1:]):
+        assert len(tr) == 26
+        for a, b in zip(tr, tr[1:]):
             assert b == eval_F(params, a)
             assert 0.0 <= b <= 1.0
 
     def test_even_k_dispatch(self):
         t4 = trajectory(MeanFieldParams(4, 0.08, EDGE), 0.97, 30)
         t3 = trajectory(MeanFieldParams(3, 0.08, EDGE), 0.97, 30)
-        for a, b in zip(t4.values, t3.values):
+        for a, b in zip(t4, t3):
             assert a == pytest.approx(b, abs=1e-11)
 
     def test_zero_rounds(self):
         tr = trajectory(MeanFieldParams(3, 0.1, EDGE), 0.7, 0)
-        assert tr.values == [0.7]
+        assert tr == [0.7]
 
     @pytest.mark.parametrize("T", [True, False])
     def test_bool_round_count_rejected(self, T):
