@@ -87,6 +87,8 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, GraphKind):
+            raise ValueError(f"graph kind must be a GraphKind, got {self.kind!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.kind is GraphKind.FILE:

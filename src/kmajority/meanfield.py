@@ -23,14 +23,18 @@ F' = 1, and computes the critical bias values:
 * ``p_star_kq``  -- largest bias whose unstable fixed point phi_minus still
   sits at or below the initial majority level ``q``.
 
-Everything here is a pure function of its arguments; no shared state.
+Everything here is a pure function of its arguments; the only shared state
+is a memo of binomial coefficients (``_comb_decimal``).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
+from functools import lru_cache
 
 __all__ = [
     "MAX_K",
@@ -51,12 +55,30 @@ __all__ = [
     "trajectory",
 ]
 
-# Largest supported sample size.  An exact anchor multiplies integers of up to
-# s*k bits, where theta = a / 2^s (s <= 1074), so its cost grows faster than
-# linearly in k; the tail error bound of binom_tail_geq is stated up to here.
+# Largest supported sample size.  The tail error bound of binom_tail_geq and
+# the error bound of the anchor's decimal estimate (see _pmf_anchor) are
+# stated up to here.  An estimate takes microseconds at any k; an anchor it
+# leaves undecided falls back to exact integers of up to s*k bits, where
+# theta = a / 2^s (s <= 1074), at a cost that grows faster than linearly.
 MAX_K = 10_000
 
+# Anchors whose exact numerator has at most this many bits (s*k) are built
+# from exact integers, which are the faster path there: both take ~13 us near
+# 5 kbit (k = 89, theta = 0.6), and at k = 1001 the estimate is 30x faster.
+_EXACT_BITS = 4096
+
+# The decimal estimate of an anchor: 60 digits, relative error bound eta, and
+# the widest exponent range, so that no power underflows.
+_DECIMAL = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_ONE = Decimal(1)
+_ONE_MINUS_ETA = _DECIMAL.subtract(_ONE, Decimal("1e-45"))  # both exact at 60 digits
+_ONE_PLUS_ETA = _DECIMAL.add(_ONE, Decimal("1e-45"))
+
 DEFAULT_TOL = 1e-10
+# Largest solver tolerance.  A tolerance as wide as a bisection's first
+# bracket returns that bracket's midpoint unsolved (tol = 1 gave p*_3 = 0.3056,
+# not 1/9); p*_k >= 1/9 for every k, so 1e-3 keeps two significant digits.
+_MAX_TOL = 1e-3
 _MAX_BISECT = 200
 
 
@@ -141,6 +163,85 @@ class CriticalValues:
 def _pmf_anchor(k: int, i: int, theta: float) -> float:
     """C(k,i) theta^i (1-theta)^(k-i), correctly rounded.
 
+    theta = a / 2^s is a double, so the pmf is the rational of
+    ``_pmf_exact``, whose numerator has up to s*k bits.  Above
+    ``_EXACT_BITS`` that numerator is built only when it must be: a 60-digit
+    decimal estimate v with relative error below eta = 1e-45 decides the
+    rounding whenever v (1 - eta) and v (1 + eta) round to the same double
+    (Ziv's strategy for the table maker's dilemma), and only an undecided
+    case runs the exact path.
+
+    Error bound of ``_pmf_estimate``.  Its operations run in ``_DECIMAL``,
+    and each rounds its exact result once to 60 digits (the General Decimal
+    Arithmetic rules that ``decimal`` follows), a relative error of at most
+    eps = 10^-59 / 2.  The leaves of the product are C(k,i), theta and
+    1 - theta, each rounded once: ``Decimal`` of a double is exact, and the
+    subtraction starts from that exact theta.  Every other operation is a
+    multiplication, done by hand rather than by Decimal's ``**``, which is
+    not documented as correctly rounded.  Written out as a tree, with a
+    squared value counted once per use, v multiplies k + 1 leaf copies
+    through k rounded products; multiplying by the exact 1 does not round.
+    So v is the exact pmf times at most 2k + 1 factors (1 + d), |d| <= eps,
+    a relative error of at most gamma = (2k + 1) eps / (1 - (2k + 1) eps)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Lemma 3.1).  At k = MAX_K, gamma < 1.1e-55, ten orders of magnitude
+    below eta.
+
+    1 - eta and 1 + eta are exact at 60 digits, so with |d| <= eps,
+    lo = v (1 - eta) (1 + d) < pmf < v (1 + eta) (1 - d) = hi.  float() of
+    a Decimal parses its decimal string, which CPython rounds correctly, and
+    rounding is monotone, so float(lo) == float(hi) is the correctly rounded
+    pmf.  The context's exponent range is the widest there is, so no power
+    underflows (theta^9999 at theta = 5e-324 is about 10^-3233000).
+    """
+    s = theta.as_integer_ratio()[1].bit_length() - 1  # theta == a / 2**s
+    if s * k > _EXACT_BITS:  # so s > 0: theta is neither 0 nor 1
+        estimate = _pmf_estimate(k, i, theta)
+        if estimate is not None:
+            return estimate
+    return _pmf_exact(k, i, theta)
+
+
+def _pmf_estimate(k: int, i: int, theta: float) -> float | None:
+    """The correctly rounded pmf when a 60-digit estimate settles it, else
+    None (undecided); see ``_pmf_anchor`` for the error bound.  Requires
+    0 < theta < 1.  As in ``_pmf_exact``, the powers share the factor
+    (theta (1-theta))^min(i, k-i).
+    """
+    mul = _DECIMAL.multiply
+    exact = Decimal(theta)
+    t = _DECIMAL.plus(exact)
+    u = _DECIMAL.subtract(_ONE, exact)
+    m = min(i, k - i)
+    v = mul(_comb_decimal(k, i), _decimal_power(mul(t, u), m))
+    v = mul(v, _decimal_power(t, i - m) if i > m else _decimal_power(u, k - i - m))
+    lo = float(mul(v, _ONE_MINUS_ETA))
+    hi = float(mul(v, _ONE_PLUS_ETA))
+    return lo if lo == hi else None
+
+
+def _decimal_power(t: Decimal, n: int) -> Decimal:
+    """t^n by square-and-multiply in ``_DECIMAL``, one rounding per product."""
+    mul = _DECIMAL.multiply
+    result = _ONE
+    while n:
+        if n & 1:
+            result = mul(result, t)
+        n >>= 1
+        if n:
+            t = mul(t, t)
+    return result
+
+
+@lru_cache(maxsize=4096)
+def _comb_decimal(k: int, i: int) -> Decimal:
+    """C(k, i) rounded to 60 digits."""
+    return _DECIMAL.create_decimal(math.comb(k, i))
+
+
+def _pmf_exact(k: int, i: int, theta: float) -> float:
+    """C(k,i) theta^i (1-theta)^(k-i), correctly rounded from exact integers.
+
     theta is a double, hence an exact dyadic rational a / 2^s; the pmf is the
     exact rational comb * a^i * (2^s - a)^(k-i) / 2^(s k).  The two powers
     share the factor (a (2^s - a))^min(i, k-i), computed once.  The
@@ -174,7 +275,7 @@ def binom_tail_geq(k: int, theta: float, m: int) -> float:
     """P(Bin(k, theta) >= m) by exact pmf summation.
 
     The pmf at the end of the requested tail that is nearest the mode is
-    evaluated exactly (dyadic rational arithmetic), and the remaining terms
+    correctly rounded (``_pmf_anchor``), and the remaining terms
     follow by the multiplicative recurrence
     pmf(i+1) = pmf(i) * theta/(1-theta) * (k-i)/(i+1), walking away from the
     mode so the terms only decay.  The smaller of the two tails is the one
@@ -341,12 +442,14 @@ def _bisect_bias(holds, lo: float, hi: float, tol: float) -> float:
 
 def _check_solver_args(k: int, tol: float) -> None:
     """Fixed points and critical biases exist for odd k >= 3 (the k = 1 map
-    is linear); the solvers bisect down to a positive, finite tolerance."""
+    is linear); the solvers bisect down to a positive tolerance of at most
+    _MAX_TOL."""
     # type(...) is int: bool is an int subclass
     if type(k) is not int or k % 2 == 0 or k < 3:
         raise ValueError(f"the solver requires odd k >= 3, got k={k!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    if not 0.0 < tol <= _MAX_TOL:
+        raise ValueError(f"tolerance must be positive, finite and at most {_MAX_TOL}, "
+                         f"got {tol!r}")
 
 
 def _classify(params: MeanFieldParams, tol: float):
@@ -379,6 +482,28 @@ def _classify(params: MeanFieldParams, tol: float):
     return Regime.SUBCRITICAL, mu, psi_mu
 
 
+def _phi_minus(edge: MeanFieldParams, tol: float):
+    """The edge-bias map's regime, tangency point mu, residual F(mu) - mu and
+    unstable root phi_minus: all but the regime None when supercritical, and
+    phi_minus = mu when critical.
+
+    phi_minus is bracketed in [1/(2(1-p)), mu], where F' is monotone, so
+    the bracket holds a single sign change.
+    """
+    regime, mu, psi_mu = _classify(edge, tol)
+    if regime is Regime.SUPERCRITICAL:
+        return regime, None, None, None
+    if regime is Regime.CRITICAL:
+        return regime, mu, psi_mu, mu
+    a = 0.5 / (1.0 - edge.p)
+    psi_a = eval_F(edge, a) - a
+    # boundary root: p = 0 puts phi- exactly at a = 1/2
+    if psi_a >= 0.0:
+        return regime, mu, psi_mu, a
+    psi = lambda x: eval_F(edge, x) - x
+    return regime, mu, psi_mu, _bisect(psi, a, mu, psi_a, psi_mu, tol)
+
+
 def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPointSet:
     """All solutions of F(x) = x (or Fhat(x) = x for node bias).
 
@@ -392,16 +517,14 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
     # the node-bias map is the edge-bias map contracted by its outer factor
     _, s = _contraction(params)
     edge = MeanFieldParams(k, p, BiasMode.EDGE)
-    regime, mu, psi_mu = _classify(edge, tol)
+    regime, mu, psi_mu, phi_minus = _phi_minus(edge, tol)
     if regime is Regime.SUPERCRITICAL:
         return FixedPointSet(Regime.SUPERCRITICAL, None, None, mu=None)
     if regime is Regime.CRITICAL:
         return FixedPointSet(Regime.CRITICAL, s * mu, s * mu, mu=s * mu)
-    a = 0.5 / (1.0 - p)
     psi = lambda x: eval_F(edge, x) - x
-    psi_a, psi_1 = psi(a), psi(1.0)
-    # boundary roots: p = 0 puts phi- exactly at a = 1/2 and phi+ at 1
-    phi_minus = a if psi_a >= 0.0 else _bisect(psi, a, mu, psi_a, psi_mu, tol)
+    psi_1 = psi(1.0)
+    # boundary root: p = 0 puts phi+ exactly at 1
     phi_plus = 1.0 if psi_1 >= 0.0 else _bisect(psi, mu, 1.0, psi_mu, psi_1, tol)
     return FixedPointSet(Regime.SUBCRITICAL, s * phi_minus, s * phi_plus, mu=s * mu)
 
@@ -464,8 +587,9 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
     p_star = base.p_star_k
 
     def phi_minus_within_q(p: float) -> bool:
-        fp = fixed_points(MeanFieldParams(k, p, BiasMode.EDGE), tol)
-        return fp.regime is not Regime.SUPERCRITICAL and fp.phi_minus <= q
+        # solves phi_minus only, as fixed_points does; phi_plus is not read
+        _, _, _, phi_minus = _phi_minus(MeanFieldParams(k, p, BiasMode.EDGE), tol)
+        return phi_minus is not None and phi_minus <= q
 
     # Probe just inside the subcritical window: if even the largest phi_minus
     # stays below q, the q-threshold coincides with p_star_k.

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kmajority import cli, experiments
+from kmajority import cli, experiments, meanfield
 from kmajority.cli import main
 from kmajority.graph import load_edge_list
 from kmajority.meanfield import MAX_K
@@ -88,6 +88,16 @@ class TestCriticalCommand:
         code, _, err = run_cli(capsys, "critical", "--k", "4")
         assert code == 2
         assert "odd" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("q", [None, "0.6"])
+    def test_tol_above_cap_exits_2_before_solving(self, capsys, count_calls, q):
+        # --tol 1 printed p*_3 = 0.3056, the first bracket's midpoint, and
+        # exited 0; the true value is 1/9
+        solves = count_calls(meanfield, "_classify")
+        argv = ["critical", "--k", "3", "--tol", "1"] + (["--q", q] if q else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, solves) == (2, "", [])
+        assert "at most 0.001" in json.loads(err)["error"]
 
     def test_k_above_cap_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "critical", "--k", "10001")

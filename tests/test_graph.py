@@ -99,6 +99,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="seed"):
             GraphSpec(kind, n=10, path="g.edges" if kind is GraphKind.FILE else None, seed=seed)
 
+    @pytest.mark.parametrize("kind", ["complete", "file", None])
+    def test_kind_is_a_graph_kind(self, kind):
+        # kind="complete" used to construct; label() then raised
+        # AttributeError and generate a bare TypeError
+        with pytest.raises(ValueError, match="GraphKind"):
+            GraphSpec(kind, n=10, path="g.edges")
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GraphSpec(GraphKind.GNP, n=10, edge_prob=0.0)

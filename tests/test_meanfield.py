@@ -7,12 +7,14 @@ frozen high-precision solutions of the tangency system F(x) = x, F'(x) = 1.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from kmajority import meanfield
 from kmajority.meanfield import (
     MAX_K,
     BiasMode,
@@ -196,6 +198,97 @@ class TestBinomTail:
             for m in range(k + 2) if small else (0, 1, k // 2, k, k + 1):
                 want = 1.0 if m <= at else 0.0
                 assert binom_tail_geq(k, theta, m).hex() == want.hex(), (k, m)
+
+
+def _anchor_cases():
+    """Seeded (k, i, theta) on both sides of the exact-path cut-off."""
+    rng = random.Random(20261019)
+    cases = [
+        (3, 1, 5e-324), (5, 1, 5e-324), (200, 1, 5e-324), (200, 0, 5e-324),
+        (7, 3, 1e-310), (MAX_K, 0, 1.0 - 2.0**-53), (MAX_K, MAX_K - 1, 1.0 - 2.0**-53),
+        (MAX_K, MAX_K, 1.0 - 2.0**-53), (MAX_K, MAX_K // 2, 0.5), (MAX_K, 3000, 0.3),
+        (MAX_K, 1, 2.0**-40), (64, 32, 1.0 - 2.0**-53), (65, 33, 0.3), (129, 64, 0.6),
+    ]
+    while len(cases) < 300:
+        k = rng.choice((rng.randint(1, 64), rng.randint(65, 300), rng.randint(301, 3000)))
+        form = rng.randrange(4)
+        if form == 0:
+            theta = rng.random()
+        elif form == 1:
+            theta = rng.random() * 2.0 ** -rng.randint(1, 60)
+        elif form == 2:
+            theta = 1.0 - rng.random() * 2.0 ** -rng.randint(1, 52)
+        else:
+            k = min(k, 400)  # exact integers of up to 1074 k bits
+            theta = rng.randint(1, 2**52) * 5e-324
+        if 0.0 < theta < 1.0:
+            mode = round(k * theta)
+            i = rng.choice((rng.randint(0, k), min(k, max(0, mode + rng.randint(-3, 3)))))
+            cases.append((k, i, theta))
+    for k, i in ((MAX_K, MAX_K // 2 + 40), (MAX_K, 7000)):
+        cases.append((k, i, rng.random()))
+    return cases
+
+
+def _exact_bits(k, theta):
+    return k * (theta.as_integer_ratio()[1].bit_length() - 1)
+
+
+class TestPmfAnchor:
+    def test_estimate_matches_exact_path(self):
+        # bit for bit, on both sides of the cut-off: below it the anchor runs
+        # the exact path, above it the estimate must decide every case
+        cases = _anchor_cases()
+        sides = {_exact_bits(k, theta) > meanfield._EXACT_BITS for k, _, theta in cases}
+        assert sides == {False, True}
+        for k, i, theta in cases:
+            want = meanfield._pmf_exact(k, i, theta).hex()
+            assert meanfield._pmf_estimate(k, i, theta).hex() == want, (k, i, theta)
+            assert meanfield._pmf_anchor(k, i, theta).hex() == want, (k, i, theta)
+
+    @pytest.mark.parametrize("k, i, theta", [
+        (2, 2, (2**27 - 1) / 2**27),  # (2^27 - 1)^2 is odd with 54 bits
+        (34, 0, 0.25),                # (3/4)^34: 3^34 is odd with 54 bits
+    ])
+    def test_rounding_midpoint_falls_back_to_exact(self, monkeypatch, count_calls,
+                                                   k, i, theta):
+        th = Fraction(theta)
+        pmf = math.comb(k, i) * th**i * (1 - th) ** (k - i)
+        nearest = float(pmf)
+        neighbors = {math.nextafter(nearest, 0.0), math.nextafter(nearest, 1.0)}
+        assert any(pmf == (Fraction(nearest) + Fraction(x)) / 2 for x in neighbors)
+        # no estimate of finite accuracy can round a midpoint
+        assert meanfield._pmf_estimate(k, i, theta) is None
+        monkeypatch.setattr(meanfield, "_EXACT_BITS", 0)
+        exact = count_calls(meanfield, "_pmf_exact")
+        assert meanfield._pmf_anchor(k, i, theta).hex() == nearest.hex()
+        assert exact == [(k, i, theta)]
+
+    def test_near_midpoint_above_cut_off_falls_back(self, count_calls):
+        # 100 theta is a 54-bit midpoint and (1 - theta)^99 moves the pmf off
+        # it by only about 99 theta = 2.5e-55, relative: far inside eta
+        k, i, theta = 100, 1, float.fromhex("0x1.ea56aa14dd4f0p-188")
+        assert _exact_bits(k, theta) > meanfield._EXACT_BITS
+        assert meanfield._pmf_estimate(k, i, theta) is None
+        exact = count_calls(meanfield, "_pmf_exact")
+        assert meanfield._pmf_anchor(k, i, theta).hex() == pmf_fraction(k, i, theta).hex()
+        assert exact == [(k, i, theta)]
+
+    def test_every_memo_clears(self):
+        # the benchmark empties every package memo between rounds through
+        # cache_clear on names whose __module__ is the module's own
+        names = [name for name, value in vars(meanfield).items()
+                 if not name.startswith("__") and isinstance(value, (dict, list, set))]
+        assert names == []
+        memos = {name: value for name, value in vars(meanfield).items()
+                 if hasattr(value, "cache_info")}
+        assert "_comb_decimal" in memos
+        binom_pmf(MAX_K, 3000, 0.3)
+        assert memos["_comb_decimal"].cache_info().currsize > 0
+        for name, memo in memos.items():
+            assert memo.__module__ == meanfield.__name__, name
+            memo.cache_clear()
+            assert memo.cache_info().currsize == 0, name
 
 
 class TestEvalF:
@@ -535,6 +628,20 @@ class TestCriticalBias:
                       lambda: fixed_points(MeanFieldParams(3, 0.05, EDGE), tol=tol)):
             with pytest.raises(ValueError, match="finite"):
                 solve()
+
+    @pytest.mark.parametrize("tol", [1.0, 0.5, 0.002])
+    def test_rejects_tolerance_above_cap(self, tol):
+        # tol = 1 returned the first bracket's midpoint, p*_3 = 0.3056
+        # against the true 1/9, without a single bisection step
+        for solve in (lambda: critical_bias_k(3, tol=tol),
+                      lambda: critical_bias_kq(3, 0.6, tol=tol),
+                      lambda: fixed_points(MeanFieldParams(3, 0.05, EDGE), tol=tol)):
+            with pytest.raises(ValueError, match="at most 0.001"):
+                solve()
+
+    def test_tolerance_at_cap_solves(self):
+        # two significant digits of p*_3 = 1/9
+        assert round(critical_bias_k(3, tol=1e-3).p_star_k, 2) == 0.11
 
 
 class TestTrajectory:
