@@ -368,7 +368,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
     p.add_argument("--q0", type=_UNIT, default=None, help="initial value for the orbit")
     p.add_argument("--rounds", type=_COUNT, default=200, help="orbit length when --q0 is given")
-    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL,
+                   help="solver tolerance: bounds the bisection brackets and the "
+                        "residuals |F(x) - x| of the roots")
     p.set_defaults(handler=_cmd_meanfield)
 
     p = sub.add_parser("critical", formatter_class=fmt,
@@ -376,7 +378,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True, help="sample size (odd, >= 3)")
     p.add_argument("--q", type=_FINITE, default=None,
                    help="initial majority level in (1/2,1]")
-    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL,
+                   help="solver tolerance: bounds the final bisection bracket and the "
+                        "residual |F(mu) - mu| that classifies a bias, not |p - p*|")
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("simulate", formatter_class=fmt,

@@ -12,8 +12,10 @@ and with minimum degree 1 (the update rule samples neighbors, so isolated
 nodes are a hard error).
 
 Every CSR graph, generated or read from a file, reaches the builder in one
-format: an int64 array of distinct edge keys ``u*n + v`` with u < v.  Sorted
-keys are sorted (u, v) pairs, so one integer sort lays out the rows.
+format: an integer array of distinct edge keys ``u*n + v`` with u < v.  Sorted
+keys are sorted (u, v) pairs, so one integer sort lays out the rows.  The
+builder sorts them in the narrowest type that holds n*n (``_key_dtype``):
+int32 up to n = 46 340, which halves the sort's bytes.
 """
 
 from __future__ import annotations
@@ -207,17 +209,33 @@ class CompleteGraph(Graph):
         return np.count_nonzero(states) - states.astype(np.int64)
 
 
+def _key_dtype(n: int) -> type:
+    """The narrowest integer type holding every edge key u*n + v < n*n and
+    the row bound n*n itself: int32 up to n = 46 340, else int64."""
+    return np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+
+
 def _build_from_keys(n: int, keys: np.ndarray) -> Graph:
-    """Assemble a Graph from the int64 keys ``u*n + v`` (u < v) of its edges.
+    """Assemble a Graph from the integer keys ``u*n + v`` (u < v) of its edges.
 
     The keys must be distinct; each caller checks simplicity where it knows
     the line number or retries.  Adding every edge's reversed key and sorting
     once orders the directed edges by (source, target), so row u is the
     sorted block of keys in [u*n, (u+1)*n) and its targets are ``key % n``.
+    The keys are narrowed to ``_key_dtype(n)``, which keeps each key's value
+    and order, so the CSR bytes do not depend on the type they came in.
     """
-    both = np.concatenate([keys, keys % n * n + keys // n])
+    m = len(keys)
+    both = np.empty(2 * m, dtype=_key_dtype(n))
+    both[:m] = keys
+    # divmod splits each key into (u, v); the reversed key v*n + u fills the
+    # second half in place
+    sources = np.empty_like(both[:m])
+    np.divmod(both[:m], n, out=(sources, both[m:]))
+    both[m:] *= n
+    both[m:] += sources
     both.sort()
-    offsets = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
+    offsets = np.searchsorted(both, np.arange(n + 1, dtype=both.dtype) * n)
     degrees = np.diff(offsets)
     if degrees.min() < 1:
         isolated = int(np.argmin(degrees))
@@ -227,7 +245,7 @@ def _build_from_keys(n: int, keys: np.ndarray) -> Graph:
     both %= n
     return Graph(
         n=n,
-        neighbors=both.astype(np.int32),
+        neighbors=both.astype(np.int32, copy=False),
         offsets=offsets,
         degrees=degrees,
         total_volume=len(both),
@@ -236,9 +254,11 @@ def _build_from_keys(n: int, keys: np.ndarray) -> Graph:
 
 def _generate_gnp(n: int, edge_prob: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
-    keys = [u * n + u + 1 + np.flatnonzero(rng.random(n - 1 - u) < edge_prob)
-            for u in range(n - 1)]
-    return _build_from_keys(n, np.concatenate(keys))
+    dtype = _key_dtype(n)
+    # the row list is freed once concatenated, before the build starts
+    return _build_from_keys(n, np.concatenate([
+        np.flatnonzero(rng.random(n - 1 - u) < edge_prob).astype(dtype) + (u * n + u + 1)
+        for u in range(n - 1)]))
 
 
 def _generate_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -342,8 +362,9 @@ def save_edge_list(graph: Graph, path: str | Path) -> None:
     """Write the graph as '# n=<n>' followed by one 'u v' line per edge (u < v)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={graph.n}\n")
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
+        for u in range(graph.n):
+            row = graph.neighbors_of(u)
+            fh.writelines(f"{u} {v}\n" for v in row[row > u].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,11 @@ def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> CriticalValues:
     or critical, above it supercritical.  Holds for both bias modes (the
     node-bias map is an axis contraction of the edge-bias map, which leaves
     existence of nontrivial roots unchanged).
+
+    ``tol`` bounds the width of the final bisection bracket and the residual
+    |F(mu) - mu| below which a probed bias counts as critical; it is not a
+    bound on |p - p*_k|.  A bias just above p*_k can still pass as critical,
+    so ``critical_bias_k(3, tol=1e-3)`` lies 1.14e-3 from 1/9.
     """
     _check_solver_args(k, tol)
 
@@ -579,7 +584,9 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
 
     The threshold is the largest p <= p_star_k with phi_minus(p) <= q;
     phi_minus is increasing in p, so bisection on p applies.  q = 1 always
-    gives p_star_k itself.
+    gives p_star_k itself.  ``tol`` bounds the final bracket of each
+    bisection and the residuals of the roots, as in ``critical_bias_k``, not
+    the distance to the exact thresholds.
     """
     if not 0.5 < q <= 1.0:
         raise ValueError(f"initial majority level q must lie in (1/2, 1], got {q!r}")

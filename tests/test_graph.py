@@ -12,6 +12,8 @@ from kmajority.graph import (
     GraphFormatError,
     GraphKind,
     GraphSpec,
+    _build_from_keys,
+    _key_dtype,
     density_report,
     generate,
     load_edge_list,
@@ -335,6 +337,48 @@ class TestRNeighborCounts:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * graph.neighbors.nbytes
+
+
+class TestEdgeKeyWidth:
+    def test_gnp_build_peak_memory_below_three_neighbor_arrays(self):
+        # a build in int64 keys peaks at 5.0x neighbors.nbytes (38.4 MiB) here
+        tracemalloc.start()
+        try:
+            graph = generate(parse_graph_spec("gnp:n=2000,p=0.5", seed=101001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * graph.neighbors.nbytes
+
+    def test_key_dtype_boundary(self):
+        # 46340^2 = 2 147 395 600 <= 2^31 - 1 < 46341^2
+        assert _key_dtype(46340) is np.int32
+        assert _key_dtype(46341) is np.int64
+
+    @pytest.mark.parametrize("n", [46340, 46342])
+    def test_perfect_matching_either_side_of_the_boundary(self, n):
+        graph = generate(parse_graph_spec(f"regular:n={n},d=1", seed=0))
+        assert graph.neighbors.dtype == np.int32
+        assert graph.offsets.tolist() == list(range(n + 1))
+        partner = graph.neighbors
+        assert np.all(partner != np.arange(n))
+        assert np.array_equal(partner[partner], np.arange(n))
+
+    def test_narrow_and_wide_keys_build_the_same_bytes(self):
+        graph = generate(parse_graph_spec("gnp:n=300,p=0.3", seed=0))
+        rows = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+        upper = rows < graph.neighbors
+        keys = rows[upper] * graph.n + graph.neighbors[upper]
+        assert keys.dtype == np.int64
+        expected = _csr_digests(graph)
+        assert _csr_digests(_build_from_keys(graph.n, keys)) == expected
+        assert _csr_digests(_build_from_keys(graph.n, keys.astype(np.int32))) == expected
+
+    def test_saved_edge_list_lists_each_edge_once_in_row_order(self, tmp_path):
+        graph = generate(parse_graph_spec("gnp:n=50,p=0.2", seed=3))
+        path = tmp_path / "g.edges"
+        save_edge_list(graph, path)
+        assert path.read_text() == "# n=50\n" + "".join(f"{u} {v}\n" for u, v in graph.edges())
 
 
 class TestDensityReport:
