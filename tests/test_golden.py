@@ -43,6 +43,45 @@ def test_critical_bias_kq():
     assert critical_bias_kq(65, 0.6).p_star_kq.hex() == "0x1.1fec1a6d54906p-3"
 
 
+# k -> (p*_k, p*_{k,0.6}, p*_{k,0.75}): the q-ladder of the critical-large-k benchmark
+Q_LADDER = {
+    3: ("0x1.c71c71d071c72p-4", "0x1.c19e7505aa470p-5", "0x1.a0fb95aa54457p-4"),
+    5: ("0x1.5228751a00000p-3", "0x1.3bc2e4eb45241p-4", "0x1.2ad56c8919716p-3"),
+    9: ("0x1.c995dcd4aaaacp-3", "0x1.92c57792a94c4p-4", "0x1.83a7eb30ad5ddp-3"),
+    17: ("0x1.1dca4a9e8e38fp-2", "0x1.dc2ea5d66922ep-4", "0x1.d00094c57a5c2p-3"),
+    33: ("0x1.4fa1f78e8e38dp-2", "0x1.0aab6c2ce7baap-3", "0x1.060dc444797dap-2"),
+    65: ("0x1.78c9e9b1e38e4p-2", "0x1.1fec1a6d54906p-3", "0x1.1c8a11a30bbdap-2"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(Q_LADDER))
+def test_critical_bias_q_ladder(k):
+    p_star_k, *p_star_kq = Q_LADDER[k]
+    assert critical_bias_k(k).p_star_k.hex() == p_star_k
+    for q, want in zip((0.6, 0.75), p_star_kq):
+        cv = critical_bias_kq(k, q)
+        assert (cv.p_star_k.hex(), cv.p_star_kq.hex()) == (p_star_k, want)
+
+
+# k|p|mode -> float.hex of the tangency point mu (node mode reports it contracted)
+TANGENCY = {
+    "3|0.1|edge": "0x1.ad46c680aaaa9p-1",
+    "5|0.15|node": "0x1.74b88868f3332p-1",
+    "17|0.25|edge": "0x1.c5b5da5ed5555p-1",
+    "65|0.3|node": "0x1.36ef61e65ffffp-1",
+    "257|0.35|edge": "0x1.bc4f852449d8ap-1",
+    "1001|0.39|node": "0x1.12e7faafb9eb8p-1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TANGENCY))
+def test_fixed_points_mu(case):
+    k, p, mode = case.split("|")
+    fp = fixed_points(MeanFieldParams(int(k), float(p), BiasMode(mode)))
+    assert fp.regime is Regime.SUBCRITICAL
+    assert fp.mu.hex() == TANGENCY[case]
+
+
 def test_fixed_points_k501():
     fp = fixed_points(MeanFieldParams(501, 0.4, BiasMode.EDGE))
     assert fp.regime is Regime.SUBCRITICAL
