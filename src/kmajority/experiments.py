@@ -41,8 +41,8 @@ from kmajority.meanfield import (
     CriticalValues,
     MeanFieldParams,
     Regime,
+    _p_star_kq,
     critical_bias_k,
-    critical_bias_kq,
     fixed_points,
     trajectory,
 )
@@ -163,8 +163,12 @@ def _hash_seed(text: str) -> int:
 
 @lru_cache(maxsize=None)
 def _critical_values(k: int, q: float | None) -> CriticalValues:
-    """p*_k, plus p*_{k,q} when q is given (critical_bias_kq solves p*_k too)."""
-    return critical_bias_k(k) if q is None else critical_bias_kq(k, q)
+    """p*_k, plus p*_{k,q} when q is given: critical_bias_kq's values, with
+    p*_k solved once per k and taken from this cache for every q."""
+    if q is None:
+        return critical_bias_k(k)
+    base = _critical_values(k, None)
+    return replace(base, q=q, p_star_kq=_p_star_kq(k, q, base.p_star_k, base.tolerance))
 
 
 def _meanfield_attachment(family: Family, mode: BiasMode,

@@ -138,13 +138,6 @@ class Graph:
     def edge_count(self) -> int:
         return self.total_volume // 2
 
-    def edges(self):
-        """Iterate edges once each as (u, v) with u < v."""
-        for u in range(self.n):
-            for v in self.neighbors_of(u):
-                if u < v:
-                    yield u, int(v)
-
     def sample_neighbors(self, uniforms: np.ndarray) -> np.ndarray:
         """Node ids picked by an (n, k) block of uniforms in [0, 1): entry
         (u, c) is ``neighbors_of(u)[floor(uniforms[u, c] * degree(u))]``."""
@@ -177,7 +170,7 @@ class CompleteGraph(Graph):
 
     ``neighbors`` and ``offsets`` hold the same CSR arrays a ``Graph`` would,
     built on first access (n(n-1) entries).  ``neighbors_of`` computes one
-    row, so the engine and the inherited ``edges`` never touch them.
+    row, so the engine never touches them.
     """
 
     def __init__(self, n: int):

@@ -24,13 +24,15 @@ F' = 1, and computes the critical bias values:
   sits at or below the initial majority level ``q``.
 
 Everything here is a pure function of its arguments; the only shared state
-is a memo of binomial coefficients (``_comb_decimal``).
+are two memos of binomial coefficients, rounded to 60 digits
+(``_comb_decimal``) and to a double (``_comb_float``).
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -80,6 +82,10 @@ DEFAULT_TOL = 1e-10
 # not 1/9); p*_k >= 1/9 for every k, so 1e-3 keeps two significant digits.
 _MAX_TOL = 1e-3
 _MAX_BISECT = 200
+
+# Smallest intermediate the certified F' decision accepts (see _dF_excess):
+# far enough above 2^-1022 that no rounding on its path is subnormal.
+_TINY = 2.0**-1000
 
 
 class BiasMode(Enum):
@@ -213,17 +219,17 @@ def _pmf_estimate(k: int, i: int, theta: float) -> float | None:
     t = _DECIMAL.plus(exact)
     u = _DECIMAL.subtract(_ONE, exact)
     m = min(i, k - i)
-    v = mul(_comb_decimal(k, i), _decimal_power(mul(t, u), m))
-    v = mul(v, _decimal_power(t, i - m) if i > m else _decimal_power(u, k - i - m))
+    v = mul(_comb_decimal(k, i), _power(mul(t, u), m, mul, _ONE))
+    v = mul(v, _power(t, i - m, mul, _ONE) if i > m else _power(u, k - i - m, mul, _ONE))
     lo = float(mul(v, _ONE_MINUS_ETA))
     hi = float(mul(v, _ONE_PLUS_ETA))
     return lo if lo == hi else None
 
 
-def _decimal_power(t: Decimal, n: int) -> Decimal:
-    """t^n by square-and-multiply in ``_DECIMAL``, one rounding per product."""
-    mul = _DECIMAL.multiply
-    result = _ONE
+def _power(t, n: int, mul=operator.mul, one=1.0):
+    """t^n by square-and-multiply, one rounding of ``mul`` per product; the
+    first product, by the exact ``one``, does not round."""
+    result = one
     while n:
         if n & 1:
             result = mul(result, t)
@@ -237,6 +243,16 @@ def _decimal_power(t: Decimal, n: int) -> Decimal:
 def _comb_decimal(k: int, i: int) -> Decimal:
     """C(k, i) rounded to 60 digits."""
     return _DECIMAL.create_decimal(math.comb(k, i))
+
+
+@lru_cache(maxsize=4096)
+def _comb_float(k: int, i: int) -> float:
+    """C(k, i) rounded to a double, or inf where that overflows (the middle
+    coefficient does from k = 1030)."""
+    try:
+        return float(math.comb(k, i))
+    except OverflowError:
+        return math.inf
 
 
 def _pmf_exact(k: int, i: int, theta: float) -> float:
@@ -408,7 +424,9 @@ def eval_d2F(params: MeanFieldParams, x: float) -> float:
 
 def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
     """Bisection on a bracketed sign change; stops once the bracket is
-    narrower than tol and the midpoint residual is within tol."""
+    narrower than tol and the midpoint residual is within tol.  Only the
+    class of each f value is read (see ``_rank``), so f may return any value
+    of the right class."""
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("bisection bracket does not straddle a sign change")
     for _ in range(_MAX_BISECT):
@@ -452,19 +470,81 @@ def _check_solver_args(k: int, tol: float) -> None:
                          f"got {tol!r}")
 
 
+def _rank(g: float, tol: float) -> int:
+    """The class of a value g that ``_bisect`` and ``_classify`` read: 0 for
+    g < -tol, 1 for -tol <= g < 0, 2 for g == 0, 3 for 0 < g <= tol and 4
+    for g > tol.  Non-decreasing in g."""
+    return (g >= -tol) + (g >= 0.0) + (g > 0.0) + (g > tol)
+
+
+def _dF_excess(edge: MeanFieldParams, x: float, tol: float) -> float:
+    """A value of the same class (``_rank``) as g = eval_dF(edge, x) - 1.0:
+    one certified from double arithmetic where that decides the class, else
+    g itself.
+
+    g = fl(fl(k (1-p)) P) - 1.0, where P is the correctly rounded mode pmf
+    C(k-1, h) (u (1-u))^h, h = (k-1)/2 and u = fl((1-p) x).  IEEE
+    multiplication by a positive constant and subtraction of a constant are
+    monotone, so g and its class are non-decreasing in P: if doubles
+    lo <= P <= hi give g of one class, that is the class of g.
+
+    Error bound of the estimate E = fl(C t^h), where C = fl(C(k-1, h)),
+    t = fl(u fl(1 - u)) and t^h is taken by ``_power``.  Each operation
+    rounds once, a relative error of at most eps = 2^-53 while its result is
+    normal.  Written out as a tree, with a squared value counted once per
+    use, E multiplies C and h copies of t through h rounded products, and
+    each copy of t carries two roundings.  So E is the exact P times at most
+    n = 3h + 1 factors (1 + d), |d| <= eps, a relative error of at most
+    gamma = n eps / (1 - n eps) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemma 3.1).  With n < 15 000, the
+    doubles L = 1 - n 2^-52 and H = 1 + n 2^-52 are exact and satisfy
+    L <= 1/(1 + gamma) and H >= 1/(1 - gamma), so E L <= P <= E H.  One
+    ``math.nextafter`` step outward from the rounded E L and E H absorbs
+    their rounding.  P lies between two doubles, so its correct rounding
+    does too.
+
+    The bound needs every rounding normal.  On the way to t^h each
+    intermediate is a product of factors below 1, so t^h >= _TINY keeps
+    every one far above 2^-1022, and E >= t^h and E L >= E / 2 follow.
+    When u is not in (0, 1), C overflows, t^h < _TINY, or lo and hi give
+    different classes, g is computed exactly.
+    """
+    k, p = edge.k, edge.p
+    h = (k - 1) // 2
+    u = (1.0 - p) * x  # as eval_dF forms it
+    comb = _comb_float(k - 1, h)
+    if 0.0 < u < 1.0 and comb < math.inf:
+        power = _power(u * (1.0 - u), h)
+        if power >= _TINY:
+            estimate = comb * power
+            widen = (3 * h + 1) * 2.0**-52
+            slope = k * (1.0 - p)
+            g_lo = slope * math.nextafter(estimate * (1.0 - widen), 0.0) - 1.0
+            g_hi = slope * math.nextafter(estimate * (1.0 + widen), math.inf) - 1.0
+            if _rank(g_lo, tol) == _rank(g_hi, tol):
+                return g_hi
+    return eval_dF(edge, x) - 1.0
+
+
 def _classify(params: MeanFieldParams, tol: float):
     """Regime of the edge-bias map plus the tangency point when it exists.
 
     Returns (regime, mu, psi_mu).  Nontrivial roots can only live in
     (1/(2(1-p)), 1], where the map is concave, so F' is decreasing there;
     the regime is read off the sign of F(mu) - mu at the point where F' = 1.
+
+    The search for mu reads only the class of each F'(x) - 1 (its sign and
+    whether it is within tol), and ``_dF_excess`` decides most classes in
+    double arithmetic with a proven error bound; only a value too close to a
+    class boundary for that bound runs the exact anchor of ``eval_dF``.  mu
+    is therefore the same double as with exact values throughout.
     """
     p = params.p
     if p >= 0.5:
         # 1/(2(1-p)) >= 1: the search interval is empty (map convex on [0,1])
         return Regime.SUPERCRITICAL, None, None
     a = 0.5 / (1.0 - p)
-    g = lambda x: eval_dF(params, x) - 1.0
+    g = lambda x: _dF_excess(params, x, tol)
     g_a, g_1 = g(a), g(1.0)
     if g_a <= 0.0:
         # F' <= 1 on the whole concave region while F(a) = 1/2 <= a:
@@ -587,11 +667,19 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
     gives p_star_k itself.  ``tol`` bounds the final bracket of each
     bisection and the residuals of the roots, as in ``critical_bias_k``, not
     the distance to the exact thresholds.
+
+    Each probed bias bisects for mu, deciding each step as ``_classify``
+    says, and then for phi_minus on exact values of F.
     """
     if not 0.5 < q <= 1.0:
         raise ValueError(f"initial majority level q must lie in (1/2, 1], got {q!r}")
-    base = critical_bias_k(k, tol)
-    p_star = base.p_star_k
+    p_star = critical_bias_k(k, tol).p_star_k
+    return CriticalValues(k=k, q=q, p_star_k=p_star, p_star_kq=_p_star_kq(k, q, p_star, tol),
+                          tolerance=tol)
+
+
+def _p_star_kq(k: int, q: float, p_star: float, tol: float) -> float:
+    """p*_{k,q} for q in (1/2, 1], given p_star = p*_k (``critical_bias_kq``)."""
 
     def phi_minus_within_q(p: float) -> bool:
         # solves phi_minus only, as fixed_points does; phi_plus is not read
@@ -601,10 +689,8 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
     # Probe just inside the subcritical window: if even the largest phi_minus
     # stays below q, the q-threshold coincides with p_star_k.
     if phi_minus_within_q(max(0.0, p_star - 2.0 * tol)):
-        p_star_kq = p_star
-    else:
-        p_star_kq = _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
-    return CriticalValues(k=k, q=q, p_star_k=p_star, p_star_kq=p_star_kq, tolerance=tol)
+        return p_star
+    return _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
 
 
 # ---------------------------------------------------------------------------

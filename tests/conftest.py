@@ -15,3 +15,11 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+def edges(graph):
+    """Each edge of ``graph`` once, as (u, v) with u < v, row by row."""
+    for u in range(graph.n):
+        for v in graph.neighbors_of(u):
+            if u < v:
+                yield u, int(v)

@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import edges
+
 from kmajority.cli import main
 from kmajority.dynamics import (
     DynamicsParams,
@@ -122,7 +124,7 @@ def test_complete_graph_answers_like_its_csr_copy(tmp_path, n):
     for u in range(n):
         row = generated.neighbors_of(u)
         assert row.dtype == np.int32 and np.array_equal(row, loaded.neighbors_of(u))
-    assert list(generated.edges()) == list(loaded.edges())
+    assert list(edges(generated)) == list(edges(loaded))
     rng = np.random.default_rng(n)
     uniforms = rng.random((n, 5))
     uniforms[:, 0] = 0.0

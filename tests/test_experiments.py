@@ -163,8 +163,8 @@ class TestSweepPlan:
         assert runs == []
 
     def test_critical_bias_k_solved_once_per_k(self, monkeypatch, count_calls):
-        # critical_bias_kq solves p*_k itself: one solve per (k, q) pair
-        # covers p*_k, which used to be solved once more per k
+        # p*_k is solved once per k and read from the cache for every q;
+        # critical_bias_kq used to solve it again for each (k, q) pair
         for value in vars(experiments).values():
             if getattr(value, "__module__", "") == experiments.__name__ and hasattr(
                     value, "cache_clear"):
@@ -174,8 +174,9 @@ class TestSweepPlan:
         cells = run_sweep(small_spec(graph_spec=GraphSpec(GraphKind.COMPLETE, n=20),
                                      k_values=(3, 101), p_values=(0.05,), q_values=(0.6, 0.9),
                                      replicas=1, max_rounds=1))
-        assert len(solves) == 4
+        assert len(solves) == 2
         assert cells[0].meanfield["p_star_k"] == meanfield.critical_bias_k(3).p_star_k
+        assert cells[0].meanfield["p_star_kq"] == meanfield.critical_bias_kq(3, 0.6).p_star_kq
 
     def test_graph_seed_draws_the_per_cell_graphs(self, count_calls):
         # per-cell graphs used to hash base_seed, so graph_seed had no effect

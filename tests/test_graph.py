@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import edges
+
 from kmajority.graph import (
     GraphConstructionError,
     GraphFormatError,
@@ -299,7 +301,7 @@ class TestRNeighborCounts:
         else:
             graph = generate(parse_graph_spec(source, seed=0))
         adjacency = np.zeros((graph.n, graph.n), dtype=bool)
-        for u, v in graph.edges():
+        for u, v in edges(graph):
             adjacency[u, v] = adjacency[v, u] = True
         states = _count_states(graph)[name]
         counts = graph.r_neighbor_counts(states)
@@ -378,7 +380,7 @@ class TestEdgeKeyWidth:
         graph = generate(parse_graph_spec("gnp:n=50,p=0.2", seed=3))
         path = tmp_path / "g.edges"
         save_edge_list(graph, path)
-        assert path.read_text() == "# n=50\n" + "".join(f"{u} {v}\n" for u, v in graph.edges())
+        assert path.read_text() == "# n=50\n" + "".join(f"{u} {v}\n" for u, v in edges(graph))
 
 
 class TestDensityReport:

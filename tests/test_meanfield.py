@@ -644,6 +644,74 @@ class TestCriticalBias:
         assert round(critical_bias_k(3, tol=1e-3).p_star_k, 2) == 0.11
 
 
+def _exact_excess_rank(params, x, tol):
+    return meanfield._rank(eval_dF(params, x) - 1.0, tol)
+
+
+def _tangency_to_the_ulp(params):
+    """The adjacent doubles lo < hi with exact F'(lo) > 1 >= F'(hi) on the
+    concave side of the edge-bias map."""
+    lo, hi = 0.5 / (1.0 - params.p), 1.0
+    while math.nextafter(lo, 2.0) < hi:
+        mid = 0.5 * (lo + hi)
+        if eval_dF(params, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestCertifiedDecisions:
+    """The mu bisection reads only the class of F'(x) - 1, so a class
+    certified in double arithmetic must be the class of the exact value."""
+
+    def test_rank_orders_the_classes(self):
+        tol = 1e-10
+        values = [-1.0, -tol, -1e-300, 0.0, 1e-300, tol, 1.0]
+        assert [meanfield._rank(g, tol) for g in values] == [0, 1, 1, 2, 3, 3, 4]
+
+    def test_class_matches_exact_on_a_seeded_grid(self, count_calls):
+        rng = random.Random(20181)
+        exact = count_calls(meanfield, "eval_dF")
+        cases = 0
+        for k in (3, 5, 7, 9, 11, 17, 25, 33, 49, 65, 257, 1001):
+            for p in [0.0, 0.1] + [rng.uniform(0.0, 0.45) for _ in range(4)]:
+                params = MeanFieldParams(k, p, EDGE)
+                a = 0.5 / (1.0 - p)
+                xs = [a, 1.0] + [rng.uniform(a, 1.0) for _ in range(6)]
+                for tol in (1e-10, 1e-3):
+                    for x in xs:
+                        got = meanfield._rank(meanfield._dF_excess(params, x, tol), tol)
+                        assert got == _exact_excess_rank(params, x, tol), (k, p, x, tol)
+                        cases += 1
+        assert cases == 12 * 6 * 2 * 8
+        # both paths ran; x = 1 at p = 0 puts u at 1, which always runs the
+        # exact value
+        assert 0 < len(exact) < cases / 2
+        assert len([1 for params, x in exact if params.p == 0.0 and x == 1.0]) == 12 * 2
+
+    @pytest.mark.parametrize("k", [3, 9, 33, 65, 257, 1001])
+    def test_class_near_tangency_falls_back_to_exact(self, count_calls, k):
+        params = MeanFieldParams(k, 0.2 if k < 33 else 0.3, EDGE)
+        lo, hi = _tangency_to_the_ulp(params)
+        xs = [lo, hi]
+        for _ in range(3):
+            xs = [math.nextafter(xs[0], 0.0)] + xs + [math.nextafter(xs[-1], 2.0)]
+        exact = count_calls(meanfield, "eval_dF")
+        for x in xs:
+            got = meanfield._rank(meanfield._dF_excess(params, x, 1e-10), 1e-10)
+            assert got == _exact_excess_rank(params, x, 1e-10), x
+        # F'(x) - 1 changes sign between lo and hi, within the estimate's
+        # error bound of 0, so both run the exact anchor
+        assert {x for _, x in exact} >= {lo, hi}
+
+    def test_certified_steps_cut_exact_anchors(self, count_calls):
+        # with an exact anchor at every mu step this solve runs 3 440
+        exact = count_calls(meanfield, "_pmf_exact")
+        assert critical_bias_kq(65, 0.6).p_star_kq.hex() == "0x1.1fec1a6d54906p-3"
+        assert len(exact) <= 1200
+
+
 class TestTrajectory:
     def test_one_step_value(self):
         # P(Bin(3, 0.95) >= 2) = 3 * 0.95^2 * 0.05 + 0.95^3 = 0.99275
