@@ -5,6 +5,5 @@ from kmajority.meanfield import *  # noqa: F403
 from kmajority.graph import *  # noqa: F403
 from kmajority.dynamics import *  # noqa: F403
 from kmajority.experiments import *  # noqa: F403
-from kmajority.stats import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -12,8 +12,13 @@ graphgen   materialize a graph spec into an edge-list file
 Conventions: structured results go to stdout as JSON carrying "schema": 1;
 errors go to stderr as JSON; exit codes are 0 (ok), 2 (input rejected
 before any work: flags, config, or parameters the dataclasses refuse), 1
-(runtime failure).  All randomness derives from the --seed flag (or the
-config's base_seed), never from the environment.
+(runtime failure, including any error once the work has started).  All
+randomness derives from the --seed flag (or the config's base_seed), never
+from the environment.
+
+Each command's handler is a generator: it checks its inputs, yields once
+where its work (a solve, a replica, an output write) starts, and then
+yields the command's JSON document.
 
 load_sweep_config checks a sweep config's keys and JSON types (integer fields
 take JSON integers only), the dataclasses its ranges, before any output.
@@ -34,6 +39,7 @@ import numpy as np
 from kmajority.dynamics import (
     DynamicsParams,
     Family,
+    check,
     init_random,
     run,
 )
@@ -55,6 +61,7 @@ from kmajority.meanfield import (
     DEFAULT_TOL,
     BiasMode,
     MeanFieldParams,
+    check_solver_args,
     critical_bias_k,
     critical_bias_kq,
     fixed_points,
@@ -124,11 +131,20 @@ def _check_output(path: str | Path, label: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_meanfield(args) -> dict:
+def _cmd_meanfield(args):
     params = MeanFieldParams(args.k, args.p, BiasMode(args.mode))
+    solve = args.k % 2 == 1 and args.k >= 3
+    if solve:
+        check_solver_args(args.k, args.tol)
+    elif args.q0 is None:
+        raise ValueError(
+            "fixed-point solving requires odd k >= 3; for k = 1 or even k give --q0 "
+            "to get the orbit"
+        )
+    yield
     doc = {"schema": 1, "k": args.k, "p": args.p, "mode": args.mode,
            "tolerance": args.tol}
-    if args.k % 2 == 1 and args.k >= 3:
+    if solve:
         fp = fixed_points(params, tol=args.tol)
         doc.update({
             "regime": fp.regime.value,
@@ -137,23 +153,20 @@ def _cmd_meanfield(args) -> dict:
             "phi_plus": fp.phi_plus,
             "mu": fp.mu,
         })
-    elif args.q0 is None:
-        raise ValueError(
-            "fixed-point solving requires odd k >= 3; for k = 1 or even k give --q0 "
-            "to get the orbit"
-        )
     if args.q0 is not None:
         orbit = trajectory(params, args.q0, args.rounds)
         doc["trajectory"] = {"q0": args.q0, "rounds": args.rounds, "values": orbit}
-    return doc
+    yield doc
 
 
-def _cmd_critical(args) -> dict:
+def _cmd_critical(args):
+    check_solver_args(args.k, args.tol, args.q)
+    yield
     if args.q is None:
         cv = critical_bias_k(args.k, tol=args.tol)
     else:
         cv = critical_bias_kq(args.k, args.q, tol=args.tol)
-    return {"schema": 1, **asdict(cv)}
+    yield {"schema": 1, **asdict(cv)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +174,7 @@ def _cmd_critical(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> dict:
+def _cmd_simulate(args):
     params = DynamicsParams(family=Family(args.family), p=args.p, mode=BiasMode(args.mode),
                             seed=args.seed, k=args.k, max_rounds=args.max_rounds)
     if args.phi_detail and not args.trace:
@@ -169,6 +182,8 @@ def _cmd_simulate(args) -> dict:
     spec = parse_graph_spec(args.graph, seed=args.seed)
     trace_dir = _check_output(args.trace, "trace") if args.trace else None
     graph = generate(spec)
+    check(graph, params)
+    yield
     config0 = init_random(graph, args.q, args.seed)
     record = run(graph, config0, params, record_phi=args.phi_detail)
     report = density_report(graph)
@@ -210,16 +225,17 @@ def _cmd_simulate(args) -> dict:
                     row += [f"{record.phi_min[t]:.17g}", f"{record.phi_max[t]:.17g}"]
                 writer.writerow(row)
         doc["trace"] = str(args.trace)
-    return doc
+    yield doc
 
 
-def _cmd_compare(args) -> dict:
+def _cmd_compare(args):
     params = DynamicsParams(family=Family.KMAJORITY, p=args.p, mode=BiasMode(args.mode),
                             seed=args.seed, k=args.k)
     spec = parse_graph_spec(args.graph, seed=args.seed)
     graph = generate(spec)
+    yield
     report = meanfield_comparison(graph, params, args.q0, args.rounds, args.gamma)
-    return {
+    yield {
         "schema": 1,
         "pass": report.passed,
         "gamma": args.gamma,
@@ -236,13 +252,14 @@ def _cmd_compare(args) -> dict:
     }
 
 
-def _cmd_graphgen(args) -> dict:
+def _cmd_graphgen(args):
     spec = parse_graph_spec(args.spec, seed=args.seed)
     folder = _check_output(args.out, "graph file")
     graph = generate(spec)
+    yield
     folder.mkdir(parents=True, exist_ok=True)
     save_edge_list(graph, args.out)
-    return {"schema": 1, "path": str(args.out), "n": graph.n, "edges": graph.edge_count}
+    yield {"schema": 1, "path": str(args.out), "n": graph.n, "edges": graph.edge_count}
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +345,18 @@ def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
     return spec, Path(raw["out"])
 
 
-def _cmd_sweep(args) -> dict:
+def _cmd_sweep(args):
     spec, out_dir = load_sweep_config(args.config)
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.json"
     for path in (runs_path, summary_path):
         _check_output(path, "sweep output")
-    cells = run_sweep(spec)
+    cells = run_sweep(spec)  # only the checks of its plan raise ValueError
+    yield
     out_dir.mkdir(parents=True, exist_ok=True)
     write_runs_csv(cells, runs_path)
     write_summary_json(spec, cells, summary_path)
-    return {
+    yield {
         "schema": 1,
         "out": str(out_dir),
         "cells": len(cells),
@@ -434,18 +452,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    steps = args.handler(args)
+    started = False
     try:
-        _emit(args.handler(args))
+        next(steps)  # the checks
+        started = True
+        _emit(next(steps))  # the work
         return 0
-    except GraphFormatError as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         _emit_error(str(exc))
-        return 1
-    except ValueError as exc:
-        _emit_error(str(exc))
-        return 2
-    except (OSError, RuntimeError) as exc:
-        _emit_error(str(exc))
-        return 1
+        # a ValueError from the checks rejects the input; an unreadable graph
+        # file is a runtime failure
+        rejected = isinstance(exc, ValueError) and not isinstance(exc, GraphFormatError)
+        return 2 if rejected and not started else 1
 
 
 if __name__ == "__main__":

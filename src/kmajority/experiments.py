@@ -2,8 +2,9 @@
 
 A sweep runs ``replicas`` independent seeded simulations for every
 (k, p, q) cell of a grid, attaches the mean-field predictions (fixed-point
-regime and critical bias values) to each cell, and reduces the disruption
-times to censoring-aware summaries.  Censored runs (round cap hit with the
+regime, and critical bias values from ``meanfield``'s memo, which solves
+each p*_k once for every q) to each cell, and reduces the disruption times
+to censoring-aware summaries.  Censored runs (round cap hit with the
 R majority intact) enter medians/means at the cap value, i.e. as lower
 bounds.
 
@@ -21,7 +22,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,10 @@ from kmajority.dynamics import (
 from kmajority.graph import Graph, GraphSpec, generate
 from kmajority.meanfield import (
     BiasMode,
-    CriticalValues,
     MeanFieldParams,
     Regime,
-    _p_star_kq,
     critical_bias_k,
+    critical_bias_kq,
     fixed_points,
     trajectory,
 )
@@ -51,10 +50,8 @@ __all__ = [
     "SweepSpec",
     "CellSummary",
     "ComparisonReport",
-    "DisruptionCurve",
     "run_sweep",
     "meanfield_comparison",
-    "disruption_curve",
     "write_runs_csv",
     "write_summary_json",
 ]
@@ -142,16 +139,6 @@ class ComparisonReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class DisruptionCurve:
-    """p -> (median tau, censored fraction) table for one (k, q)."""
-
-    rows: list[tuple[float, float, float]]
-    knee: float | None
-    p_star_kq: float | None
-    cells: list[CellSummary]
-
-
 # ---------------------------------------------------------------------------
 # Seeds and mean-field attachments
 # ---------------------------------------------------------------------------
@@ -159,16 +146,6 @@ class DisruptionCurve:
 
 def _hash_seed(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
-
-
-@lru_cache(maxsize=None)
-def _critical_values(k: int, q: float | None) -> CriticalValues:
-    """p*_k, plus p*_{k,q} when q is given: critical_bias_kq's values, with
-    p*_k solved once per k and taken from this cache for every q."""
-    if q is None:
-        return critical_bias_k(k)
-    base = _critical_values(k, None)
-    return replace(base, q=q, p_star_kq=_p_star_kq(k, q, base.p_star_k, base.tolerance))
 
 
 def _meanfield_attachment(family: Family, mode: BiasMode,
@@ -200,7 +177,7 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
                 "mu": None, "p_star_k": 0.0, "p_star_kq": 0.0}
     k_odd = k if k % 2 == 1 else k - 1
     fp = fixed_points(MeanFieldParams(k_odd, p, mode))
-    cv = _critical_values(k_odd, q if q > 0.5 else None)
+    cv = critical_bias_kq(k_odd, q) if q > 0.5 else critical_bias_k(k_odd)
     return {
         "regime": fp.regime.value,
         "phi_minus": fp.phi_minus,
@@ -227,8 +204,10 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
 
     A first pass plans every cell before any replica runs: it draws and
     checks the graph, derives the replica seeds (no two alike in the sweep)
-    and solves the mean-field attachment.  A cell that does not share its
-    graph draws it again to run; its seed is fixed, so that is the same graph.
+    and solves the mean-field attachment.  Only the checks raise ValueError;
+    a failed draw, solve or replica raises RuntimeError naming its cell.  A
+    cell that does not share its graph draws it again to run; its seed is
+    fixed, so that is the same graph.
     """
     shared = generate(spec.graph_spec) if spec.share_graph else None
     all_seeds: set[int] = set()
@@ -246,8 +225,11 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
         all_seeds.update(seeds)
         if len(all_seeds) < (cell_index + 1) * spec.replicas:
             raise RuntimeError(f"replica seed collision at {where}")
-        plans.append((k, p, q, where, params, seeds,
-                      _meanfield_attachment(spec.family, spec.mode, k, p, q)))
+        try:
+            meanfield = _meanfield_attachment(spec.family, spec.mode, k, p, q)
+        except ValueError as exc:
+            raise RuntimeError(f"{where}: mean-field solve failed: {exc}") from exc
+        plans.append((k, p, q, where, params, seeds, meanfield))
     summaries = []
     for cell_index, (k, p, q, where, params, seeds, meanfield) in enumerate(plans):
         graph = shared if shared is not None else _cell_graph(spec, cell_index)
@@ -298,19 +280,6 @@ def meanfield_comparison(graph: Graph, params: DynamicsParams, q0: float,
     rounds_passed = [d <= gamma for d in deviations]
     return ComparisonReport(deviations=deviations, mean_field=orbit,
                             rounds_passed=rounds_passed, passed=all(rounds_passed))
-
-
-def disruption_curve(spec: SweepSpec) -> DisruptionCurve:
-    """Sweep a single (k, q) over the p grid and locate the empirical knee:
-    the first p whose censored fraction drops below 1/2."""
-    if len(spec.k_values) != 1 or len(spec.q_values) != 1:
-        raise ValueError("disruption_curve wants a spec restricted to one k and one q")
-    cells = run_sweep(spec)
-    cells_sorted = sorted(cells, key=lambda c: c.p)
-    rows = [(c.p, c.tau_median, c.censored_fraction) for c in cells_sorted]
-    knee = next((p for p, _, frac in rows if frac < 0.5), None)
-    p_star_kq = cells_sorted[0].meanfield.get("p_star_kq")
-    return DisruptionCurve(rows=rows, knee=knee, p_star_kq=p_star_kq, cells=cells)
 
 
 # ---------------------------------------------------------------------------

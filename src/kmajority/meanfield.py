@@ -15,7 +15,7 @@ G(z) = P(Bin(k, z) > k/2) + P(Bin(k, z) = k/2) / 2:
 
 Iterating the map gives the mean-field trajectory of the fraction of nodes
 holding the initial majority state.  This module evaluates both maps (and,
-for odd k, their first two derivatives) exactly to double precision, locates
+for odd k, their first derivatives) exactly to double precision, locates
 their fixed points {0, phi_minus, phi_plus} and the tangency point mu where
 F' = 1, and computes the critical bias values:
 
@@ -24,8 +24,9 @@ F' = 1, and computes the critical bias values:
   sits at or below the initial majority level ``q``.
 
 Everything here is a pure function of its arguments; the only shared state
-are two memos of binomial coefficients, rounded to 60 digits
-(``_comb_decimal``) and to a double (``_comb_float``).
+are three memos: two of binomial coefficients, rounded to 60 digits
+(``_comb_decimal``) and to a double (``_comb_float``), and one of the
+critical biases (``_critical_values``).
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ __all__ = [
     "binom_tail_geq",
     "eval_F",
     "eval_dF",
-    "eval_d2F",
+    "check_solver_args",
     "fixed_points",
-    "closed_form_k3",
     "critical_bias_k",
     "critical_bias_kq",
     "trajectory",
@@ -391,32 +391,6 @@ def eval_dF(params: MeanFieldParams, x: float) -> float:
     return k * (1.0 - p) * binom_pmf(k - 1, (k - 1) // 2, inner * x)
 
 
-def eval_d2F(params: MeanFieldParams, x: float) -> float:
-    """Second derivative of the update map (odd k).
-
-    k (k-1) inner^2 outer C(k-2, (k-1)/2) (u - u^2)^((k-3)/2) (1 - 2u) with
-    u = inner x; for edge bias positive exactly on u < 1/2, i.e.
-    x < 1/(2(1-p)).  For k = 1 the map is linear and the second derivative
-    is identically 0.
-    """
-    _check_x(x)
-    k = params.k
-    if k % 2 == 0:
-        raise ValueError(f"eval_d2F requires odd k, got k={k}")
-    if k == 1:
-        return 0.0
-    inner, outer = _contraction(params)
-    u = inner * x
-    # inner ** 2 keeps edge bias's (1-p)^2 rounded once
-    scale = k * (k - 1) * inner**2 * outer
-    if k == 3:
-        return scale * (1.0 - 2.0 * u)
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    # C(k-2, h) (u - u^2)^((k-3)/2) == P(Bin(k-2, u) = h) / u with h = (k-1)/2
-    return scale * binom_pmf(k - 2, (k - 1) // 2, u) * (1.0 - 2.0 * u) / u
-
-
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------
@@ -458,16 +432,21 @@ def _bisect_bias(holds, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_solver_args(k: int, tol: float) -> None:
-    """Fixed points and critical biases exist for odd k >= 3 (the k = 1 map
-    is linear); the solvers bisect down to a positive tolerance of at most
-    _MAX_TOL."""
+def check_solver_args(k: int, tol: float, q: float | None = None) -> None:
+    """Reject, before any solve, what the solvers refuse.  Fixed points and
+    critical biases exist for odd k >= 3 (the k = 1 map is linear) up to
+    MAX_K; the solvers bisect down to a positive tolerance of at most
+    _MAX_TOL; an initial majority level q, when given, lies in (1/2, 1]."""
+    if q is not None and not 0.5 < q <= 1.0:
+        raise ValueError(f"initial majority level q must lie in (1/2, 1], got {q!r}")
     # type(...) is int: bool is an int subclass
     if type(k) is not int or k % 2 == 0 or k < 3:
         raise ValueError(f"the solver requires odd k >= 3, got k={k!r}")
     if not 0.0 < tol <= _MAX_TOL:
         raise ValueError(f"tolerance must be positive, finite and at most {_MAX_TOL}, "
                          f"got {tol!r}")
+    if k > MAX_K:
+        raise ValueError(f"sample size k={k} exceeds the supported cap {MAX_K}")
 
 
 def _rank(g: float, tol: float) -> int:
@@ -593,7 +572,7 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
     Node-bias sets are the edge-bias sets contracted by (1-p).
     """
     k, p = params.k, params.p
-    _check_solver_args(k, tol)
+    check_solver_args(k, tol)
     # the node-bias map is the edge-bias map contracted by its outer factor
     _, s = _contraction(params)
     edge = MeanFieldParams(k, p, BiasMode.EDGE)
@@ -607,28 +586,6 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
     # boundary root: p = 0 puts phi+ exactly at 1
     phi_plus = 1.0 if psi_1 >= 0.0 else _bisect(psi, mu, 1.0, psi_mu, psi_1, tol)
     return FixedPointSet(Regime.SUBCRITICAL, s * phi_minus, s * phi_plus, mu=s * mu)
-
-
-def closed_form_k3(p: float) -> FixedPointSet:
-    """Exact k = 3 edge-bias fixed points via the quadratic formula.
-
-    F(x) = 3(1-p)^2 x^2 - 2(1-p)^3 x^3, so the nontrivial roots solve
-    2(1-p)^3 x^2 - 3(1-p)^2 x + 1 = 0 with discriminant (1-p)^3 (1-9p).
-    Serves as the independent oracle for the numeric solver.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"bias p must lie in [0, 1], got {p!r}")
-    t = 1.0 - 9.0 * p
-    if t < 0.0:
-        return FixedPointSet(Regime.SUPERCRITICAL, None, None, None)
-    c = 1.0 - p
-    root_disc = math.sqrt(c**3 * t)
-    den = 4.0 * c**3
-    phi_minus = (3.0 * c * c - root_disc) / den
-    phi_plus = (3.0 * c * c + root_disc) / den
-    if root_disc == 0.0:
-        return FixedPointSet(Regime.CRITICAL, phi_minus, phi_minus, mu=phi_minus)
-    return FixedPointSet(Regime.SUBCRITICAL, phi_minus, phi_plus, mu=None)
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +606,8 @@ def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> CriticalValues:
     bound on |p - p*_k|.  A bias just above p*_k can still pass as critical,
     so ``critical_bias_k(3, tol=1e-3)`` lies 1.14e-3 from 1/9.
     """
-    _check_solver_args(k, tol)
-
-    def has_root(p: float) -> bool:
-        regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE), tol)
-        return regime is not Regime.SUPERCRITICAL
-
-    p_star = _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
-    return CriticalValues(k=k, q=None, p_star_k=p_star, p_star_kq=None, tolerance=tol)
+    check_solver_args(k, tol)
+    return _critical_values(k, None, tol)
 
 
 def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValues:
@@ -671,15 +622,24 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
     Each probed bias bisects for mu, deciding each step as ``_classify``
     says, and then for phi_minus on exact values of F.
     """
-    if not 0.5 < q <= 1.0:
-        raise ValueError(f"initial majority level q must lie in (1/2, 1], got {q!r}")
-    p_star = critical_bias_k(k, tol).p_star_k
-    return CriticalValues(k=k, q=q, p_star_k=p_star, p_star_kq=_p_star_kq(k, q, p_star, tol),
-                          tolerance=tol)
+    check_solver_args(k, tol, q)
+    return _critical_values(k, q, tol)
 
 
-def _p_star_kq(k: int, q: float, p_star: float, tol: float) -> float:
-    """p*_{k,q} for q in (1/2, 1], given p_star = p*_k (``critical_bias_kq``)."""
+@lru_cache(maxsize=None)
+def _critical_values(k: int, q: float | None, tol: float) -> CriticalValues:
+    """The memo of the critical biases, for arguments ``check_solver_args``
+    accepts: p*_k when q is None, else p*_k and p*_{k,q}.  A q entry reads
+    p*_k from the (k, None, tol) entry, so p*_k is solved once for every q."""
+    if q is None:
+
+        def has_root(p: float) -> bool:
+            regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE), tol)
+            return regime is not Regime.SUPERCRITICAL
+
+        p_star = _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
+        return CriticalValues(k=k, q=None, p_star_k=p_star, p_star_kq=None, tolerance=tol)
+    p_star = _critical_values(k, None, tol).p_star_k
 
     def phi_minus_within_q(p: float) -> bool:
         # solves phi_minus only, as fixed_points does; phi_plus is not read
@@ -689,8 +649,10 @@ def _p_star_kq(k: int, q: float, p_star: float, tol: float) -> float:
     # Probe just inside the subcritical window: if even the largest phi_minus
     # stays below q, the q-threshold coincides with p_star_k.
     if phi_minus_within_q(max(0.0, p_star - 2.0 * tol)):
-        return p_star
-    return _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
+        p_star_kq = p_star
+    else:
+        p_star_kq = _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
+    return CriticalValues(k=k, q=q, p_star_k=p_star, p_star_kq=p_star_kq, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

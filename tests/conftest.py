@@ -1,6 +1,20 @@
 """Shared test helpers."""
 
+import sys
+
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts from empty package memos, as each benchmark round
+    does, so no test reads a value an earlier one left cached (a module not
+    yet imported has none)."""
+    for name, module in list(sys.modules.items()):
+        if name == "kmajority" or name.startswith("kmajority."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == name:
+                    value.cache_clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Small self-contained statistical tests used by the experiment harness.
+"""Reference implementations the tests check the package against; no
+command, round engine path or benchmark runs them.
 
 Two-sample Kolmogorov-Smirnov with the exact equal-sample-size null
 distribution (reflection/ballot formula on lattice paths), falling back to
@@ -16,7 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["KSResult", "MannWhitneyResult", "ks_two_sample", "mann_whitney_u"]
+from kmajority.experiments import CellSummary, SweepSpec, run_sweep
+from kmajority.meanfield import (FixedPointSet, MeanFieldParams, Regime, _check_x, _contraction,
+                                 binom_pmf)
 
 
 @dataclass(frozen=True)
@@ -129,3 +132,74 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     z = (u - mean) / math.sqrt(var)
     p = 0.5 * math.erfc(z / math.sqrt(2.0))
     return MannWhitneyResult(u_statistic=u, z_score=z, p_value=p)
+
+
+def closed_form_k3(p: float) -> FixedPointSet:
+    """Exact k = 3 edge-bias fixed points via the quadratic formula.
+
+    F(x) = 3(1-p)^2 x^2 - 2(1-p)^3 x^3, so the nontrivial roots solve
+    2(1-p)^3 x^2 - 3(1-p)^2 x + 1 = 0 with discriminant (1-p)^3 (1-9p).
+    Serves as the independent oracle for the numeric solver.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"bias p must lie in [0, 1], got {p!r}")
+    t = 1.0 - 9.0 * p
+    if t < 0.0:
+        return FixedPointSet(Regime.SUPERCRITICAL, None, None, None)
+    c = 1.0 - p
+    root_disc = math.sqrt(c**3 * t)
+    den = 4.0 * c**3
+    phi_minus = (3.0 * c * c - root_disc) / den
+    phi_plus = (3.0 * c * c + root_disc) / den
+    if root_disc == 0.0:
+        return FixedPointSet(Regime.CRITICAL, phi_minus, phi_minus, mu=phi_minus)
+    return FixedPointSet(Regime.SUBCRITICAL, phi_minus, phi_plus, mu=None)
+
+
+def eval_d2F(params: MeanFieldParams, x: float) -> float:
+    """Second derivative of the update map (odd k).
+
+    k (k-1) inner^2 outer C(k-2, (k-1)/2) (u - u^2)^((k-3)/2) (1 - 2u) with
+    u = inner x; for edge bias positive exactly on u < 1/2, i.e.
+    x < 1/(2(1-p)).  For k = 1 the map is linear and the second derivative
+    is identically 0.
+    """
+    _check_x(x)
+    k = params.k
+    if k % 2 == 0:
+        raise ValueError(f"eval_d2F requires odd k, got k={k}")
+    if k == 1:
+        return 0.0
+    inner, outer = _contraction(params)
+    u = inner * x
+    # inner ** 2 keeps edge bias's (1-p)^2 rounded once
+    scale = k * (k - 1) * inner**2 * outer
+    if k == 3:
+        return scale * (1.0 - 2.0 * u)
+    if u <= 0.0 or u >= 1.0:
+        return 0.0
+    # C(k-2, h) (u - u^2)^((k-3)/2) == P(Bin(k-2, u) = h) / u with h = (k-1)/2
+    return scale * binom_pmf(k - 2, (k - 1) // 2, u) * (1.0 - 2.0 * u) / u
+
+
+@dataclass(frozen=True)
+class DisruptionCurve:
+    """p -> (median tau, censored fraction) table for one (k, q)."""
+
+    rows: list[tuple[float, float, float]]
+    knee: float | None
+    p_star_kq: float | None
+    cells: list[CellSummary]
+
+
+def disruption_curve(spec: SweepSpec) -> DisruptionCurve:
+    """Sweep a single (k, q) over the p grid and locate the empirical knee:
+    the first p whose censored fraction drops below 1/2."""
+    if len(spec.k_values) != 1 or len(spec.q_values) != 1:
+        raise ValueError("disruption_curve wants a spec restricted to one k and one q")
+    cells = run_sweep(spec)
+    cells_sorted = sorted(cells, key=lambda c: c.p)
+    rows = [(c.p, c.tau_median, c.censored_fraction) for c in cells_sorted]
+    knee = next((p for p, _, frac in rows if frac < 0.5), None)
+    p_star_kq = cells_sorted[0].meanfield.get("p_star_kq")
+    return DisruptionCurve(rows=rows, knee=knee, p_star_kq=p_star_kq, cells=cells)

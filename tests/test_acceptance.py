@@ -12,6 +12,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import closed_form_k3, disruption_curve, eval_d2F, ks_two_sample
+
 from kmajority.dynamics import (
     DynamicsParams,
     Family,
@@ -19,20 +21,17 @@ from kmajority.dynamics import (
     run,
     step,
 )
-from kmajority.experiments import SweepSpec, disruption_curve, meanfield_comparison
+from kmajority.experiments import SweepSpec, meanfield_comparison
 from kmajority.graph import GraphKind, GraphSpec, generate
 from kmajority.meanfield import (
     BiasMode,
     MeanFieldParams,
-    closed_form_k3,
     critical_bias_k,
     critical_bias_kq,
     eval_F,
     eval_dF,
-    eval_d2F,
     fixed_points,
 )
-from kmajority.stats import ks_two_sample
 
 EDGE = BiasMode.EDGE
 NODE = BiasMode.NODE

@@ -1,6 +1,7 @@
 """CLI behavior: JSON outputs, exit codes, file artifacts, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -207,6 +208,16 @@ class TestSimulateCommand:
         assert (code, out, len(builds)) == (2, "", 0)
         assert str(MAX_K) in json.loads(err)["error"]
 
+    def test_degree_above_cap_rejected_before_running(self, capsys, tmp_path, count_calls):
+        # the check ran inside run, where a ValueError is a runtime failure
+        runs = count_calls(cli, "run")
+        star = tmp_path / "star.edges"
+        star.write_text("".join(f"0 {v}\n" for v in range(1, MAX_K + 2)))
+        code, out, err = run_cli(capsys, "simulate", "--graph", f"file:{star}", "--family",
+                                 "det", "--p", "0.1", "--max-rounds", "1")
+        assert (code, out, len(runs)) == (2, "", 0)
+        assert f"degree {MAX_K + 1}" in json.loads(err)["error"]
+
 
 class TestCompareCommand:
     def test_subcritical_pass(self, capsys):
@@ -357,6 +368,16 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert f"degree {MAX_K + 1}" in json.loads(err.splitlines()[-1])["error"]
+        assert not (tmp_path / "results").exists()
+
+    def test_value_error_in_a_solve_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a ValueError of the plan's mean-field solve exited 2, as if the
+        # config had been rejected
+        monkeypatch.setattr(experiments, "fixed_points", lambda *args: math.sqrt(-1.0))
+        cfg = self.config(tmp_path, graph="complete:n=20", replicas=1)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "mean-field solve failed: math domain error" in json.loads(err)["error"]
         assert not (tmp_path / "results").exists()
 
     def test_cell_graph_failure_runs_no_replica(self, capsys, tmp_path, monkeypatch):
@@ -575,6 +596,31 @@ class TestCLIPlumbing:
         code, out, err = run_cli(capsys, *case.split())
         assert (code, out, len(builds), len(solves)) == (2, "", 0, 0)
         assert json.loads(err)["error"] == UP_FRONT_REJECTIONS[case]
+
+    @pytest.mark.parametrize("name, argv", [
+        ("fixed_points", "meanfield --k 3 --p 0.05"),
+        ("trajectory", "meanfield --k 4 --p 0.05 --q0 0.9"),
+        ("critical_bias_k", "critical --k 3"),
+        ("critical_bias_kq", "critical --k 3 --q 0.6"),
+        ("run", "simulate --graph complete:n=50 --k 3 --p 0.05"),
+        ("meanfield_comparison", "compare --graph complete:n=50 --k 3 --p 0.05"),
+        ("save_edge_list", "graphgen --spec complete:n=5 --out {tmp}/g.edges"),
+        ("write_runs_csv", "sweep --config {tmp}/config.json"),
+    ], ids=lambda value: value.split()[0])
+    def test_value_error_during_work_exits_1(self, capsys, tmp_path, monkeypatch, name, argv):
+        # every ValueError exited 2, as if the input had been rejected, also
+        # one raised by a solve, a replica or an output write
+        (tmp_path / "config.json").write_text(json.dumps({
+            "graph": "complete:n=20", "k": [3], "p_grid": [0.05], "q_grid": [1.0],
+            "replicas": 1, "max_rounds": 1, "base_seed": 5, "out": str(tmp_path / "out")}))
+
+        def fail(*args, **kwargs):
+            raise ValueError("failed during the work")
+
+        monkeypatch.setattr(cli, name, fail)
+        code, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "failed during the work"
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "critical", "--k", "3", "--bogus", "1")

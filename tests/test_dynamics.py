@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ks_two_sample, mann_whitney_u
+
 from kmajority.dynamics import (
     DynamicsParams,
     Family,
@@ -23,7 +25,6 @@ from kmajority.dynamics import (
 )
 from kmajority.graph import GraphKind, GraphSpec, generate
 from kmajority.meanfield import MAX_K, BiasMode, MeanFieldParams, binom_pmf, eval_F
-from kmajority.stats import ks_two_sample, mann_whitney_u
 
 EDGE = BiasMode.EDGE
 NODE = BiasMode.NODE

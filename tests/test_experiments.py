@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from oracles import disruption_curve
+
 from kmajority import experiments, meanfield
 from kmajority.dynamics import DynamicsParams, Family
 from kmajority.experiments import (
     CSV_COLUMNS,
     SweepSpec,
-    disruption_curve,
     meanfield_comparison,
     run_sweep,
     write_runs_csv,
@@ -162,19 +163,14 @@ class TestSweepPlan:
             run_sweep(small_spec(replicas=2))
         assert runs == []
 
-    def test_critical_bias_k_solved_once_per_k(self, monkeypatch, count_calls):
-        # p*_k is solved once per k and read from the cache for every q;
+    def test_critical_bias_k_solved_once_per_k(self):
+        # p*_k is solved once per k and read from the memo for every q;
         # critical_bias_kq used to solve it again for each (k, q) pair
-        for value in vars(experiments).values():
-            if getattr(value, "__module__", "") == experiments.__name__ and hasattr(
-                    value, "cache_clear"):
-                value.cache_clear()
-        solves = count_calls(meanfield, "critical_bias_k")
-        monkeypatch.setattr(experiments, "critical_bias_k", meanfield.critical_bias_k)
         cells = run_sweep(small_spec(graph_spec=GraphSpec(GraphKind.COMPLETE, n=20),
                                      k_values=(3, 101), p_values=(0.05,), q_values=(0.6, 0.9),
                                      replicas=1, max_rounds=1))
-        assert len(solves) == 2
+        # one miss per (k, None) entry, which solves p*_k, and one per (k, q)
+        assert meanfield._critical_values.cache_info().misses == 2 + 2 * 2
         assert cells[0].meanfield["p_star_k"] == meanfield.critical_bias_k(3).p_star_k
         assert cells[0].meanfield["p_star_kq"] == meanfield.critical_bias_kq(3, 0.6).p_star_kq
 

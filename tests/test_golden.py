@@ -13,6 +13,8 @@ import json
 
 import pytest
 
+from oracles import eval_d2F
+
 from kmajority.cli import main
 
 from kmajority.meanfield import (
@@ -21,7 +23,6 @@ from kmajority.meanfield import (
     Regime,
     critical_bias_k,
     critical_bias_kq,
-    eval_d2F,
     eval_dF,
     eval_F,
     fixed_points,

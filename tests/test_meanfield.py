@@ -14,6 +14,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import closed_form_k3, eval_d2F
+
 from kmajority import meanfield
 from kmajority.meanfield import (
     MAX_K,
@@ -22,12 +24,10 @@ from kmajority.meanfield import (
     Regime,
     binom_pmf,
     binom_tail_geq,
-    closed_form_k3,
     critical_bias_k,
     critical_bias_kq,
     eval_F,
     eval_dF,
-    eval_d2F,
     fixed_points,
     trajectory,
 )
@@ -285,6 +285,8 @@ class TestPmfAnchor:
         assert "_comb_decimal" in memos
         binom_pmf(MAX_K, 3000, 0.3)
         assert memos["_comb_decimal"].cache_info().currsize > 0
+        critical_bias_kq(3, 0.6)
+        assert memos["_critical_values"].cache_info().currsize == 2
         for name, memo in memos.items():
             assert memo.__module__ == meanfield.__name__, name
             memo.cache_clear()
@@ -642,6 +644,23 @@ class TestCriticalBias:
     def test_tolerance_at_cap_solves(self):
         # two significant digits of p*_3 = 1/9
         assert round(critical_bias_k(3, tol=1e-3).p_star_k, 2) == 0.11
+
+    def test_p_star_k_solved_once_for_every_q(self):
+        memo = meanfield._critical_values
+        first = critical_bias_kq(7, 0.6)
+        second = critical_bias_kq(7, 0.75)
+        # entries (7, 0.6), (7, None) and (7, 0.75); the second q reads p*_7
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (3, 1)
+        assert first.p_star_k == second.p_star_k == critical_bias_k(7).p_star_k
+
+    def test_warm_memo_still_validates(self):
+        # an untyped lru_cache finds the warm entry of k = 3 for k = 3.0
+        critical_bias_k(3)
+        for solve in (lambda: critical_bias_k(3.0), lambda: critical_bias_k(np.int64(3)),
+                      lambda: critical_bias_k(3, tol=1.0),
+                      lambda: critical_bias_kq(3.0, 0.6), lambda: critical_bias_kq(3, 0.5)):
+            with pytest.raises(ValueError):
+                solve()
 
 
 def _exact_excess_rank(params, x, tol):

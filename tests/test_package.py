@@ -4,7 +4,7 @@ import importlib
 
 import kmajority
 
-MODULES = ("meanfield", "graph", "dynamics", "experiments", "stats")
+MODULES = ("meanfield", "graph", "dynamics", "experiments")
 
 
 def test_package_exports_every_module_all():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kmajority.stats import _ks_survival_equal, ks_two_sample, mann_whitney_u
+from oracles import _ks_survival_equal, ks_two_sample, mann_whitney_u
 
 
 def ks_survival_bruteforce(n, c):
