@@ -32,6 +32,10 @@ from kmajority.meanfield import (
 P_STAR_K = {
     257: "0x1.b3090d38c71c9p-2",
     1001: "0x1.d4e312d48e391p-2",
+    # C(k-1, (k-1)/2) overflows a double from here on
+    2001: "0x1.e01acf0538e38p-2",
+    4001: "0x1.e87c43161c71bp-2",
+    9999: "0x1.f05a94ed38e39p-2",
 }
 
 
