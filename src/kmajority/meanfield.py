@@ -24,9 +24,9 @@ F' = 1, and computes the critical bias values:
   sits at or below the initial majority level ``q``.
 
 Everything here is a pure function of its arguments; the only shared state
-are three memos: two of binomial coefficients, rounded to 60 digits
-(``_comb_decimal``) and to a double (``_comb_float``), and one of the
-critical biases (``_critical_values``).
+are three memos: binomial coefficients rounded to 60 digits
+(``_comb_decimal``), the fair-coin pmf C(n, i) / 2^n rounded to a double
+(``_fair_pmf``), and the critical biases (``_critical_values``).
 """
 
 from __future__ import annotations
@@ -246,13 +246,9 @@ def _comb_decimal(k: int, i: int) -> Decimal:
 
 
 @lru_cache(maxsize=4096)
-def _comb_float(k: int, i: int) -> float:
-    """C(k, i) rounded to a double, or inf where that overflows (the middle
-    coefficient does from k = 1030)."""
-    try:
-        return float(math.comb(k, i))
-    except OverflowError:
-        return math.inf
+def _fair_pmf(n: int, i: int) -> float:
+    """P(Bin(n, 1/2) = i) = C(n, i) / 2^n, correctly rounded (int / int)."""
+    return math.comb(n, i) / (1 << n)
 
 
 def _pmf_exact(k: int, i: int, theta: float) -> float:
@@ -456,6 +452,11 @@ def _rank(g: float, tol: float) -> int:
     return (g >= -tol) + (g >= 0.0) + (g > 0.0) + (g > tol)
 
 
+# The regime by the class (``_rank``) of F(mu) - mu: F stays below the
+# diagonal (0), touches it within tol (1 to 3) or crosses it (4).
+_REGIME_BY_CLASS = (Regime.SUPERCRITICAL,) + (Regime.CRITICAL,) * 3 + (Regime.SUBCRITICAL,)
+
+
 def _dF_excess(edge: MeanFieldParams, x: float, tol: float) -> float:
     """A value of the same class (``_rank``) as g = eval_dF(edge, x) - 1.0:
     one certified from double arithmetic where that decides the class, else
@@ -467,13 +468,15 @@ def _dF_excess(edge: MeanFieldParams, x: float, tol: float) -> float:
     monotone, so g and its class are non-decreasing in P: if doubles
     lo <= P <= hi give g of one class, that is the class of g.
 
-    Error bound of the estimate E = fl(C t^h), where C = fl(C(k-1, h)),
-    t = fl(u fl(1 - u)) and t^h is taken by ``_power``.  Each operation
-    rounds once, a relative error of at most eps = 2^-53 while its result is
-    normal.  Written out as a tree, with a squared value counted once per
-    use, E multiplies C and h copies of t through h rounded products, and
-    each copy of t carries two roundings.  So E is the exact P times at most
-    n = 3h + 1 factors (1 + d), |d| <= eps, a relative error of at most
+    Error bound of the estimate E = fl(C t^h), where C = fl(C(k-1, h) /
+    2^(k-1)) (``_fair_pmf``), t = 4 fl(u fl(1 - u)) and t^h is taken by
+    ``_power``; as 2^(k-1) = 4^h, C t^h estimates P and nothing overflows.
+    Each operation rounds once, a relative error of at most eps = 2^-53
+    while its result is normal, and the factor 4 is exact.  Written out as
+    a tree, with a squared value counted once per use, E multiplies C and h
+    copies of t through h rounded products, and each copy of t carries two
+    roundings.  So E is the exact P times at most n = 3h + 1 factors
+    (1 + d), |d| <= eps, a relative error of at most
     gamma = n eps / (1 - n eps) (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Lemma 3.1).  With n < 15 000, the
     doubles L = 1 - n 2^-52 and H = 1 + n 2^-52 are exact and satisfy
@@ -482,26 +485,27 @@ def _dF_excess(edge: MeanFieldParams, x: float, tol: float) -> float:
     their rounding.  P lies between two doubles, so its correct rounding
     does too.
 
-    The bound needs every rounding normal.  On the way to t^h each
-    intermediate is a product of factors below 1, so t^h >= _TINY keeps
-    every one far above 2^-1022, and E >= t^h and E L >= E / 2 follow.
-    When u is not in (0, 1), C overflows, t^h < _TINY, or lo and hi give
-    different classes, g is computed exactly.
+    The bound needs every rounding normal, and t^h >= _TINY ensures it.
+    fl(1 - u) is exact for u >= 1/2 (Sterbenz) and within 2^-54 of 1 - u
+    for u < 1/2, so u fl(1 - u) < 1/4 + 2^-55, which rounds to at most
+    1/4: t <= 1.  So t and every intermediate of
+    ``_power`` reach t^h through products by factors at most 1, and
+    rounding is monotone: none is below t^h.  C > 2^-8 for k <= MAX_K, so
+    E and E L >= E / 2 are normal too.  u = 0 or 1 gives t = 0.  When
+    t^h < _TINY or lo and hi give different classes, g is computed exactly.
     """
     k, p = edge.k, edge.p
     h = (k - 1) // 2
     u = (1.0 - p) * x  # as eval_dF forms it
-    comb = _comb_float(k - 1, h)
-    if 0.0 < u < 1.0 and comb < math.inf:
-        power = _power(u * (1.0 - u), h)
-        if power >= _TINY:
-            estimate = comb * power
-            widen = (3 * h + 1) * 2.0**-52
-            slope = k * (1.0 - p)
-            g_lo = slope * math.nextafter(estimate * (1.0 - widen), 0.0) - 1.0
-            g_hi = slope * math.nextafter(estimate * (1.0 + widen), math.inf) - 1.0
-            if _rank(g_lo, tol) == _rank(g_hi, tol):
-                return g_hi
+    power = _power(4.0 * (u * (1.0 - u)), h)
+    if power >= _TINY:
+        estimate = _fair_pmf(k - 1, h) * power
+        widen = (3 * h + 1) * 2.0**-52
+        slope = k * (1.0 - p)
+        g_lo = slope * math.nextafter(estimate * (1.0 - widen), 0.0) - 1.0
+        g_hi = slope * math.nextafter(estimate * (1.0 + widen), math.inf) - 1.0
+        if _rank(g_lo, tol) == _rank(g_hi, tol):
+            return g_hi
     return eval_dF(edge, x) - 1.0
 
 
@@ -519,26 +523,19 @@ def _classify(params: MeanFieldParams, tol: float):
     is therefore the same double as with exact values throughout.
     """
     p = params.p
-    if p >= 0.5:
-        # 1/(2(1-p)) >= 1: the search interval is empty (map convex on [0,1])
-        return Regime.SUPERCRITICAL, None, None
-    a = 0.5 / (1.0 - p)
-    g = lambda x: _dF_excess(params, x, tol)
-    g_a, g_1 = g(a), g(1.0)
-    if g_a <= 0.0:
-        # F' <= 1 on the whole concave region while F(a) = 1/2 <= a:
-        # F stays below the diagonal, no nontrivial root.
-        return Regime.SUPERCRITICAL, None, None
-    if g_1 >= 0.0:
-        # F' >= 1 throughout, so F - x is increasing up to F(1) - 1 < 0.
-        return Regime.SUPERCRITICAL, None, None
-    mu = _bisect(g, a, 1.0, g_a, g_1, tol)
-    psi_mu = eval_F(params, mu) - mu
-    if abs(psi_mu) <= tol:
-        return Regime.CRITICAL, mu, psi_mu
-    if psi_mu < 0.0:
-        return Regime.SUPERCRITICAL, mu, psi_mu
-    return Regime.SUBCRITICAL, mu, psi_mu
+    if p < 0.5:  # else 1/(2(1-p)) >= 1: no concave region, F convex on [0, 1]
+        a = 0.5 / (1.0 - p)
+        g = lambda x: _dF_excess(params, x, tol)
+        g_a, g_1 = g(a), g(1.0)
+        # A tangency point needs g_a > 0 > g_1.  If g_a <= 0, F' <= 1 on the
+        # whole concave region while F(a) = 1/2 <= a, so F stays below the
+        # diagonal; if g_1 >= 0, F' >= 1 throughout, so F - x increases up to
+        # F(1) - 1 < 0.  Either way F has no nontrivial root.
+        if g_a > 0.0 > g_1:
+            mu = _bisect(g, a, 1.0, g_a, g_1, tol)
+            psi_mu = eval_F(params, mu) - mu
+            return _REGIME_BY_CLASS[_rank(psi_mu, tol)], mu, psi_mu
+    return Regime.SUPERCRITICAL, None, None
 
 
 def _phi_minus(edge: MeanFieldParams, tol: float):

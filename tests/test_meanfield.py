@@ -693,7 +693,7 @@ class TestCertifiedDecisions:
         rng = random.Random(20181)
         exact = count_calls(meanfield, "eval_dF")
         cases = 0
-        for k in (3, 5, 7, 9, 11, 17, 25, 33, 49, 65, 257, 1001):
+        for k in (3, 5, 7, 9, 11, 17, 25, 33, 49, 65, 257, 1001, 2001, 9999):
             for p in [0.0, 0.1] + [rng.uniform(0.0, 0.45) for _ in range(4)]:
                 params = MeanFieldParams(k, p, EDGE)
                 a = 0.5 / (1.0 - p)
@@ -703,13 +703,13 @@ class TestCertifiedDecisions:
                         got = meanfield._rank(meanfield._dF_excess(params, x, tol), tol)
                         assert got == _exact_excess_rank(params, x, tol), (k, p, x, tol)
                         cases += 1
-        assert cases == 12 * 6 * 2 * 8
+        assert cases == 14 * 6 * 2 * 8
         # both paths ran; x = 1 at p = 0 puts u at 1, which always runs the
         # exact value
         assert 0 < len(exact) < cases / 2
-        assert len([1 for params, x in exact if params.p == 0.0 and x == 1.0]) == 12 * 2
+        assert len([1 for params, x in exact if params.p == 0.0 and x == 1.0]) == 14 * 2
 
-    @pytest.mark.parametrize("k", [3, 9, 33, 65, 257, 1001])
+    @pytest.mark.parametrize("k", [3, 9, 33, 65, 257, 1001, 2001, 9999])
     def test_class_near_tangency_falls_back_to_exact(self, count_calls, k):
         params = MeanFieldParams(k, 0.2 if k < 33 else 0.3, EDGE)
         lo, hi = _tangency_to_the_ulp(params)
@@ -729,6 +729,14 @@ class TestCertifiedDecisions:
         exact = count_calls(meanfield, "_pmf_exact")
         assert critical_bias_kq(65, 0.6).p_star_kq.hex() == "0x1.1fec1a6d54906p-3"
         assert len(exact) <= 1200
+
+    @pytest.mark.parametrize("k", [1001, 2001])
+    def test_large_k_solve_runs_few_exact_derivatives(self, count_calls, k):
+        # unscaled, (u(1-u))^h falls below the guard away from u = 1/2 and
+        # C(k-1, h) overflows from k = 1031: 1 091 and 1 126 exact F' values
+        exact = count_calls(meanfield, "eval_dF")
+        critical_bias_k(k)
+        assert len(exact) <= 10
 
 
 class TestTrajectory:
