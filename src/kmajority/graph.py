@@ -5,11 +5,14 @@ A ``Graph`` stores its adjacency in a flat CSR-like layout
 ``CompleteGraph``, stored by its size alone: row u of K_n is 0..n-1 without u,
 so entry j of it is ``j + (j >= u)`` and O(n) memory suffices; its CSR arrays
 are built only when something reads them.  The round engine reaches
-neighbors only through ``sample_neighbors`` and ``r_neighbor_counts``, which
-each storage answers its own way.  A K_n read from an edge-list file keeps
-the CSR storage.  Every constructed graph is validated: simple, symmetric,
-and with minimum degree 1 (the update rule samples neighbors, so isolated
-nodes are a hard error).
+neighbors only through ``sample_neighbors`` and ``r_neighbor_counts``.  A
+complete graph answers both by arithmetic.  A CSR graph samples from its
+rows, and counts either from a packed bit matrix of its adjacency (dense
+graphs on numpy >= 2.0, see ``Graph._bits``) or by scattering its minority
+colour's rows.  A K_n read from an edge-list file keeps the CSR storage.
+Every constructed graph is validated: simple, symmetric, and with minimum
+degree 1 (the update rule samples neighbors, so isolated nodes are a hard
+error).
 
 Every CSR graph, generated or read from a file, reaches the builder in one
 format: an integer array of distinct edge keys ``u*n + v`` with u < v.  Sorted
@@ -144,20 +147,87 @@ class Graph:
         pick = (uniforms * self.degrees[:, None]).astype(np.int64)
         return self.neighbors[self.offsets[:-1, None] + pick]
 
+    @cached_property
+    def _bits(self) -> np.ndarray | None:
+        """The adjacency as ``_pack_rows`` lays it out, or None where numpy
+        has no ``bitwise_count`` (numpy < 2.0) or the matrix would take more
+        bytes than ``neighbors`` (mean degree below about n/32).  Built on
+        the first R count that reads it."""
+        n = self.n
+        if not hasattr(np, "bitwise_count") or n * _words(n) * 8 > self.neighbors.nbytes:
+            return None
+        return _pack_rows(self)
+
     def r_neighbor_counts(self, states: np.ndarray) -> np.ndarray:
         """Number of R (True) neighbors of every node, as int64.
 
-        The adjacency is symmetric, so u's count of colour c is the number of
-        c nodes whose rows list u.  The rows of whichever colour holds the
-        smaller volume are scattered into a bincount, and an R-heavy state
-        returns ``degrees`` minus the B counts.  That costs O(minority volume)
-        time, and at most about 1.5 × ``neighbors.nbytes`` of scratch memory
-        (the int32 minority entries and bincount's int64 copy of them).
+        Where ``_bits`` exists, each row is ANDed with the packed states and
+        its set bits are counted (``_bit_counts``): O(n²/64) word operations
+        and about 1.1 × ``_bits.nbytes`` of scratch, with ``_bits`` itself at
+        most ``neighbors.nbytes``.  The packing, on the first count, holds at
+        most ``_PACK_ROWS`` dense rows and their entries' indices at a time.
+        Elsewhere the minority colour's rows are scattered
+        (``_scatter_counts``).  Both counts are exact.
         """
-        r_heavy = 2 * int(self.degrees @ states) > self.total_volume
-        minority = ~states if r_heavy else states
-        hits = np.bincount(self.neighbors[np.repeat(minority, self.degrees)], minlength=self.n)
-        return self.degrees - hits if r_heavy else hits
+        bits = self._bits
+        return _scatter_counts(self, states) if bits is None else _bit_counts(bits, states)
+
+
+# rows packed per step of _pack_rows: a chunk holds _PACK_ROWS dense rows of
+# bools and one int64 index per adjacency entry of those rows
+_PACK_ROWS = 128
+
+
+def _words(n: int) -> int:
+    """64-bit words in a row of n bits."""
+    return (n + 63) // 64
+
+
+def _pack_rows(graph: Graph) -> np.ndarray:
+    """The adjacency as n rows of ``_words(n)`` uint64 words: bit v of row u
+    (``np.packbits`` order, little within each byte) is set iff v is a
+    neighbor of u, and the bits past n are clear.
+
+    The rows are packed ``_PACK_ROWS`` at a time from a dense bool block.
+    ``_bit_counts`` packs the states in the same byte order, so a row and
+    the states line up bit for bit on either byte order of the machine.
+    """
+    n, width = graph.n, _words(graph.n) * 64
+    bits = np.empty((n, width // 64), dtype=np.uint64)
+    for start in range(0, n, _PACK_ROWS):
+        stop = min(start + _PACK_ROWS, n)
+        entries = np.repeat(np.arange(stop - start) * width, graph.degrees[start:stop])
+        entries += graph.neighbors[graph.offsets[start] : graph.offsets[stop]]
+        dense = np.zeros((stop - start) * width, dtype=bool)
+        dense[entries] = True
+        bits[start:stop] = np.packbits(
+            dense.reshape(stop - start, width), axis=1, bitorder="little").view(np.uint64)
+    return bits
+
+
+def _bit_counts(bits: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """R neighbors of every node from the packed adjacency of ``_pack_rows``:
+    the popcount of each row ANDed with the packed states."""
+    word = np.zeros(bits.shape[1] * 8, dtype=np.uint8)
+    packed = np.packbits(states, bitorder="little")
+    word[: packed.size] = packed
+    return np.bitwise_count(bits & word.view(np.uint64)).sum(axis=1, dtype=np.int64)
+
+
+def _scatter_counts(graph: Graph, states: np.ndarray) -> np.ndarray:
+    """R neighbors of every node from the CSR rows.
+
+    The adjacency is symmetric, so u's count of colour c is the number of c
+    nodes whose rows list u.  The rows of whichever colour holds the smaller
+    volume are scattered into a bincount, and an R-heavy state returns
+    ``degrees`` minus the B counts.  That costs O(minority volume) time, and
+    at most about 1.5 × ``neighbors.nbytes`` of scratch memory (the int32
+    minority entries and bincount's int64 copy of them).
+    """
+    r_heavy = 2 * int(graph.degrees @ states) > graph.total_volume
+    minority = ~states if r_heavy else states
+    hits = np.bincount(graph.neighbors[np.repeat(minority, graph.degrees)], minlength=graph.n)
+    return graph.degrees - hits if r_heavy else hits
 
 
 def _complete_row_entry(u, j):

@@ -23,7 +23,7 @@ from kmajority.dynamics import (
     run,
     step,
 )
-from kmajority.graph import GraphKind, GraphSpec, generate
+from kmajority.graph import Graph, GraphKind, GraphSpec, generate, load_edge_list, save_edge_list
 from kmajority.meanfield import MAX_K, BiasMode, MeanFieldParams, binom_pmf, eval_F
 
 EDGE = BiasMode.EDGE
@@ -253,15 +253,27 @@ class TestBinomialSampler:
 
 
 class TestRNeighborCounts:
-    def test_complete_shortcut_matches_generic(self):
+    def test_complete_shortcut_matches_generic(self, tmp_path):
         n = 80
         g = complete(n)
         # same edge set via file round trip forces the generic CSR path
+        save_edge_list(g, tmp_path / "k80.edges")
+        loaded = load_edge_list(tmp_path / "k80.edges")
+        assert type(loaded) is Graph
         rng = np.random.default_rng(3)
         states = rng.random(n) < 0.6
         fast = r_neighbor_counts(g, states)
-        generic = np.add.reduceat(states[g.neighbors], g.offsets[:-1], dtype=np.int64)
+        assert np.array_equal(fast, r_neighbor_counts(loaded, states))
+        generic = np.add.reduceat(states[loaded.neighbors], loaded.offsets[:-1], dtype=np.int64)
         assert np.array_equal(fast, generic)
+
+    def test_sampling_run_never_packs_the_adjacency(self):
+        g = generate(GraphSpec(GraphKind.GNP, n=300, edge_prob=0.3, seed=0))
+        cfg = init_random(g, 0.8, 1)
+        run(g, cfg, kmaj(0.1, EDGE, 1, max_rounds=5))
+        assert "_bits" not in g.__dict__
+        step(g, cfg, DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.1, seed=1))
+        assert "_bits" in g.__dict__
 
     def test_phi_stats_hand_count(self):
         g = complete(3)

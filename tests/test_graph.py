@@ -14,8 +14,11 @@ from kmajority.graph import (
     GraphFormatError,
     GraphKind,
     GraphSpec,
+    _bit_counts,
     _build_from_keys,
     _key_dtype,
+    _pack_rows,
+    _scatter_counts,
     density_report,
     generate,
     load_edge_list,
@@ -291,20 +294,47 @@ def _count_states(graph):
     }
 
 
+# numpy 1.x has no bitwise_count, so every CSR graph there counts by scatter
+needs_popcount = pytest.mark.skipif(not hasattr(np, "bitwise_count"),
+                                    reason="numpy < 2.0 has no bitwise_count")
+
+
+def _count_graph(tmp_path, source):
+    """A graph named by a spec, or 'star_path', or 'file:' + a spec whose
+    graph goes through an edge-list file and back."""
+    if source == "star_path":
+        return _star_path(tmp_path)
+    if source.startswith("file:"):
+        save_edge_list(generate(parse_graph_spec(source[5:], seed=0)), tmp_path / "g.edges")
+        return load_edge_list(tmp_path / "g.edges")
+    return generate(parse_graph_spec(source, seed=0))
+
+
 class TestRNeighborCounts:
-    @pytest.mark.parametrize("source", ["gnp:n=300,p=0.3", "regular:n=300,d=40", "star_path"])
+    # n = 2, 63, 64, 65 and 300 put the last row's bits at every position
+    # relative to a 64-bit word; the bits past n must stay clear
+    @pytest.mark.parametrize("source", [
+        "gnp:n=2,p=1", "gnp:n=63,p=0.5", "regular:n=64,d=12", "file:gnp:n=65,p=0.3",
+        "gnp:n=300,p=0.3", "regular:n=300,d=40", "star_path"])
     @pytest.mark.parametrize("name", ["all_R", "all_B", "R_minority", "B_minority",
                                       "half_volume"])
-    def test_against_dense_oracle(self, tmp_path, source, name):
-        if source == "star_path":
-            graph = _star_path(tmp_path)
-        else:
-            graph = generate(parse_graph_spec(source, seed=0))
+    @pytest.mark.parametrize("path", ["r_neighbor_counts", "scatter",
+                                      pytest.param("bits", marks=needs_popcount)])
+    def test_against_dense_oracle(self, tmp_path, source, name, path):
+        graph = _count_graph(tmp_path, source)
         adjacency = np.zeros((graph.n, graph.n), dtype=bool)
         for u, v in edges(graph):
             adjacency[u, v] = adjacency[v, u] = True
         states = _count_states(graph)[name]
-        counts = graph.r_neighbor_counts(states)
+        if path == "bits":
+            bits = _pack_rows(graph)
+            assert bits.shape == (graph.n, (graph.n + 63) // 64) and bits.dtype == np.uint64
+            assert np.array_equal(np.bitwise_count(bits).sum(axis=1), graph.degrees)
+            counts = _bit_counts(bits, states)
+        elif path == "scatter":
+            counts = _scatter_counts(graph, states)
+        else:
+            counts = graph.r_neighbor_counts(states)
         assert counts.dtype == np.int64 and counts.shape == (graph.n,)
         assert np.array_equal(counts, adjacency.astype(np.int64) @ states)
         if name == "half_volume":
@@ -327,18 +357,39 @@ class TestRNeighborCounts:
     @pytest.mark.parametrize("b_fraction", [0.05, 0.5, 0.95])
     def test_peak_memory_below_two_neighbor_arrays(self, b_fraction):
         # a gather of all 2m entries cast to int64 peaks at 17.18 MiB on this
-        # graph; the minority scatter needs at most 1.5x neighbors.nbytes
+        # graph.  The first count packs _bits, so its window holds the
+        # packing and the kept matrix (at most neighbors.nbytes); the minority
+        # scatter needs at most 1.5x neighbors.nbytes
         graph = generate(parse_graph_spec("gnp:n=2000,p=0.5", seed=101001))
         states = np.ones(graph.n, dtype=bool)
         rng = np.random.default_rng(0)
         states[rng.choice(graph.n, round(b_fraction * graph.n), replace=False)] = False
-        tracemalloc.start()
-        try:
-            graph.r_neighbor_counts(states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * graph.neighbors.nbytes
+        for count in (graph.r_neighbor_counts, lambda s: _scatter_counts(graph, s)):
+            tracemalloc.start()
+            try:
+                count(states)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * graph.neighbors.nbytes
+
+    @pytest.mark.parametrize("source", [
+        "gnp:n=2000,p=0.5", "gnp:n=300,p=0.3", "regular:n=300,d=40", "regular:n=2000,d=10",
+        "regular:n=64,d=2", "regular:n=64,d=1", "gnp:n=2,p=1", "star_path"])
+    def test_bits_exactly_where_popcount_exists_and_no_larger_than_neighbors(
+            self, tmp_path, source):
+        # regular:n=64,d=2 has a matrix of exactly neighbors.nbytes, d=1 twice
+        # that; regular:n=2000,d=10 and the star-path are sparse
+        graph = _count_graph(tmp_path, source)
+        matrix_bytes = graph.n * ((graph.n + 63) // 64) * 8
+        assert "_bits" not in graph.__dict__
+        built = graph._bits is not None
+        assert built == (hasattr(np, "bitwise_count") and matrix_bytes <= graph.neighbors.nbytes)
+        if source in ("regular:n=2000,d=10", "star_path"):
+            assert not built
+        if built:
+            assert graph._bits.nbytes == matrix_bytes
+            assert np.array_equal(graph._bits, _pack_rows(graph))
 
 
 class TestEdgeKeyWidth:
