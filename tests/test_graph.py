@@ -222,6 +222,17 @@ CSR_DIGESTS = {
         "ebdb8d779ad0e9331b23999237fceda7bfb7a7aedbdfc364696908afc5ac17f3",
         "0113874212e814a6504a35efa3b781174c346d875558755744a3529bf59e02c4",
     ),
+    # n off a multiple of 64 and 256: the last row ends mid-word
+    ("gnp:n=1001,p=0.3", 0): (
+        "fa5a59e3cfc12b132469f9515a09ade8453c2274264c20958c7c09b2f19ffd86",
+        "a510152159d4eea2a1cd21af319e85cb1bd8217346a1d8647df68281c84de04a",
+        "3509880c1a4bd82189df1f9c86c2faf0a1ae4a9ed214f8674a1a537bcedb97b4",
+    ),
+    ("gnp:n=257,p=1", 0): (
+        "54d662bb66df286e3a64423f72efb60a4901806e72611f587d4f4aa4e2f87c83",
+        "60f4a3159434389a84d87d95d6f64d17d88fce7e1249c168027e39ce0e3e8e74",
+        "00533d8af9427652982f47859ce82ea8d727bebbe168446fd9b1d3dfd03db601",
+    ),
     ("regular:n=300,d=40", 0): (
         "b5ce1f82a31d1aa98dd9d105b02d65e396d783012e92939b12aeb32bc9de0167",
         "c78707a263caaf2a387af14c3537674d81d19a8b606ee1c90dc82c8ef26d7ea4",
