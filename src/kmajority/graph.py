@@ -14,11 +14,15 @@ Every constructed graph is validated: simple, symmetric, and with minimum
 degree 1 (the update rule samples neighbors, so isolated nodes are a hard
 error).
 
-Every CSR graph, generated or read from a file, reaches the builder in one
-format: an integer array of distinct edge keys ``u*n + v`` with u < v.  Sorted
-keys are sorted (u, v) pairs, so one integer sort lays out the rows.  The
-builder sorts them in the narrowest type that holds n*n (``_key_dtype``):
-int32 up to n = 46 340, which halves the sort's bytes.
+A CSR graph is built by one of two routes, with the same bytes either way.
+A dense G(n, p) (``_gnp_dense``: p at least about 1/4, see ``_generate_gnp``)
+draws its rows into an n x n bool adjacency and reads the CSR rows off it;
+that matrix takes no more bytes than the neighbor array it expects.  Every
+other CSR graph (sparse G(n, p), random regular, edge-list file) reaches
+``_build_from_keys`` as an integer array of distinct edge keys ``u*n + v``
+with u < v.  Sorted keys are sorted (u, v) pairs, so one integer sort lays
+out the rows.  The builder sorts them in the narrowest type that holds n*n
+(``_key_dtype``): int32 up to n = 46 340, which halves the sort's bytes.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ class Graph:
         its set bits are counted (``_bit_counts``): O(n²/64) word operations
         and about 1.1 × ``_bits.nbytes`` of scratch, with ``_bits`` itself at
         most ``neighbors.nbytes``.  The packing, on the first count, holds at
-        most ``_PACK_ROWS`` dense rows and their entries' indices at a time.
+        most ``_BLOCK_ROWS`` dense rows and their entries' indices at a time.
         Elsewhere the minority colour's rows are scattered
         (``_scatter_counts``).  Both counts are exact.
         """
@@ -173,9 +177,10 @@ class Graph:
         return _scatter_counts(self, states) if bits is None else _bit_counts(bits, states)
 
 
-# rows packed per step of _pack_rows: a chunk holds _PACK_ROWS dense rows of
-# bools and one int64 index per adjacency entry of those rows
-_PACK_ROWS = 128
+# rows per step of the dense-row loops: a chunk of _pack_rows holds
+# _BLOCK_ROWS dense rows of bools and one int64 index per adjacency entry of
+# those rows; _gnp_dense mirrors its matrix in strips of _BLOCK_ROWS rows
+_BLOCK_ROWS = 128
 
 
 def _words(n: int) -> int:
@@ -188,14 +193,14 @@ def _pack_rows(graph: Graph) -> np.ndarray:
     (``np.packbits`` order, little within each byte) is set iff v is a
     neighbor of u, and the bits past n are clear.
 
-    The rows are packed ``_PACK_ROWS`` at a time from a dense bool block.
+    The rows are packed ``_BLOCK_ROWS`` at a time from a dense bool block.
     ``_bit_counts`` packs the states in the same byte order, so a row and
     the states line up bit for bit on either byte order of the machine.
     """
     n, width = graph.n, _words(graph.n) * 64
     bits = np.empty((n, width // 64), dtype=np.uint64)
-    for start in range(0, n, _PACK_ROWS):
-        stop = min(start + _PACK_ROWS, n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
         entries = np.repeat(np.arange(stop - start) * width, graph.degrees[start:stop])
         entries += graph.neighbors[graph.offsets[start] : graph.offsets[stop]]
         dense = np.zeros((stop - start) * width, dtype=bool)
@@ -300,11 +305,7 @@ def _build_from_keys(n: int, keys: np.ndarray) -> Graph:
     both.sort()
     offsets = np.searchsorted(both, np.arange(n + 1, dtype=both.dtype) * n)
     degrees = np.diff(offsets)
-    if degrees.min() < 1:
-        isolated = int(np.argmin(degrees))
-        raise GraphConstructionError(
-            f"node {isolated} is isolated; the dynamics cannot sample a neighbor"
-        )
+    _check_no_isolated(degrees)
     both %= n
     return Graph(
         n=n,
@@ -315,13 +316,73 @@ def _build_from_keys(n: int, keys: np.ndarray) -> Graph:
     )
 
 
+def _check_no_isolated(degrees: np.ndarray) -> None:
+    if degrees.min() < 1:
+        isolated = int(np.argmin(degrees))
+        raise GraphConstructionError(
+            f"node {isolated} is isolated; the dynamics cannot sample a neighbor"
+        )
+
+
 def _generate_gnp(n: int, edge_prob: float, seed: int) -> Graph:
+    """G(n, p): the edge (u, v), u < v, is present iff entry v - u - 1 of
+    row u's draw is below p (``_gnp_draws``).
+
+    Both routes read the same draws and build the same bytes.  The dense
+    route runs when its n x n bool matrix takes at most the bytes of the
+    int32 neighbor array it expects, 4·p·n(n-1), i.e. p >= n / (4(n-1)),
+    about 1/4; its peak memory is about the matrix plus ``neighbors``, so
+    at most about twice the expected ``neighbors.nbytes`` (1.6x at p = 1/2).
+    Sparser specs build from edge keys, peaking at about 2.0-2.3x
+    ``neighbors.nbytes``.
+    """
+    dense = n * n <= 4 * edge_prob * n * (n - 1)
+    return (_gnp_dense if dense else _gnp_keys)(n, edge_prob, seed)
+
+
+def _gnp_draws(n: int, seed: int):
+    """Row u's n-1-u uniforms, for u = 0 .. n-2, each the doubles
+    ``rng.random(n - 1 - u)`` would give, drawn into one reused buffer: a
+    row is valid only until the next is drawn."""
     rng = np.random.default_rng(seed)
+    buffer = np.empty(n - 1)
+    for u in range(n - 1):
+        row = buffer[: n - 1 - u]
+        rng.random(out=row)
+        yield u, row
+
+
+def _gnp_keys(n: int, edge_prob: float, seed: int) -> Graph:
+    """G(n, p) from its edge keys, each row's narrowed as it is made; the
+    row list is freed once concatenated, before the build starts."""
     dtype = _key_dtype(n)
-    # the row list is freed once concatenated, before the build starts
     return _build_from_keys(n, np.concatenate([
-        np.flatnonzero(rng.random(n - 1 - u) < edge_prob).astype(dtype) + (u * n + u + 1)
-        for u in range(n - 1)]))
+        np.flatnonzero(row < edge_prob).astype(dtype) + (u * n + u + 1)
+        for u, row in _gnp_draws(n, seed)]))
+
+
+def _gnp_dense(n: int, edge_prob: float, seed: int) -> Graph:
+    """G(n, p) read off its n x n bool adjacency: row u's draws fill the
+    upper part of row u, the upper triangle is mirrored, and each row's
+    nonzero columns, in order, are its CSR row.  Besides the matrix and the
+    CSR arrays it holds one row's indices at a time."""
+    adjacency = np.zeros((n, n), dtype=bool)
+    for u, row in _gnp_draws(n, seed):
+        np.less(row, edge_prob, out=adjacency[u, u + 1:])
+    # mirrored a strip at a time: one whole-matrix transpose strides across
+    # all of it, about 9x slower at n = 5000
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        adjacency[start:, start:stop] |= adjacency[start:stop, start:].T
+    degrees = np.count_nonzero(adjacency, axis=1)
+    _check_no_isolated(degrees)
+    offsets = np.zeros(n + 1, dtype=degrees.dtype)
+    np.cumsum(degrees, out=offsets[1:])
+    neighbors = np.empty(offsets[-1], dtype=np.int32)
+    for u, row in enumerate(adjacency):
+        neighbors[offsets[u] : offsets[u + 1]] = row.nonzero()[0]
+    return Graph(n=n, neighbors=neighbors, offsets=offsets, degrees=degrees,
+                 total_volume=int(offsets[-1]))
 
 
 def _generate_random_regular(n: int, d: int, seed: int) -> Graph:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import edges
 
+from kmajority import graph as graph_module
 from kmajority.graph import (
     GraphConstructionError,
     GraphFormatError,
@@ -16,6 +17,8 @@ from kmajority.graph import (
     GraphSpec,
     _bit_counts,
     _build_from_keys,
+    _gnp_dense,
+    _gnp_keys,
     _key_dtype,
     _pack_rows,
     _scatter_counts,
@@ -443,6 +446,59 @@ class TestEdgeKeyWidth:
         path = tmp_path / "g.edges"
         save_edge_list(graph, path)
         assert path.read_text() == "# n=50\n" + "".join(f"{u} {v}\n" for u, v in edges(graph))
+
+
+def _build_or_error(route, n, p, seed):
+    """The CSR arrays' dtypes and bytes a route builds, or its error."""
+    try:
+        graph = route(n, p, seed)
+    except GraphConstructionError as err:
+        return str(err)
+    return [(a.dtype, a.tobytes()) for a in (graph.neighbors, graph.offsets, graph.degrees)]
+
+
+class TestDenseGnp:
+    # the dense route runs for p >= n / (4(n-1)): 0.5 at n = 2, about 0.25
+    # from n = 63 on; n = 2, 63 ... 300 end the matrix at every position
+    # relative to a 64-bit word and to the 128-row strips it is mirrored in
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 255, 256, 257, 300])
+    @pytest.mark.parametrize("p", [0.2, 0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_routes_build_the_same_bytes(self, n, p, seed):
+        # both build, or both raise the same isolated-node error
+        assert _build_or_error(_gnp_dense, n, p, seed) == _build_or_error(_gnp_keys, n, p, seed)
+
+    @pytest.mark.parametrize("n, p, route", [
+        # 4 * p * n * (n-1) == n * n exactly at p = 257/1024
+        (257, 257 / 1024, "_gnp_dense"),
+        (257, np.nextafter(257 / 1024, 0), "_gnp_keys"),
+        (257, 0.25, "_gnp_keys"),
+        (2000, 0.2502, "_gnp_dense"),
+        (2000, 0.25, "_gnp_keys"),
+    ])
+    def test_route_either_side_of_the_switch(self, count_calls, n, p, route):
+        calls = {name: count_calls(graph_module, name) for name in ("_gnp_dense", "_gnp_keys")}
+        generate(GraphSpec(GraphKind.GNP, n=n, edge_prob=float(p), seed=1))
+        assert {name: len(each) for name, each in calls.items()} == {
+            name: int(name == route) for name in calls}
+
+    def test_dense_route_isolated_node_is_error(self, count_calls):
+        # seed 0's one draw is 0.637, so gnp:n=2,p=0.5 has no edge
+        calls = count_calls(graph_module, "_gnp_dense")
+        with pytest.raises(GraphConstructionError, match="node 0 is isolated"):
+            generate(parse_graph_spec("gnp:n=2,p=0.5", seed=0))
+        assert len(calls) == 1
+
+    def test_build_peak_memory_below_seven_quarters_of_neighbors(self):
+        # the matrix (n*n bytes, half of neighbors here) and neighbors: 1.6x;
+        # the edge-key build peaks at 2.09x neighbors.nbytes on this graph
+        tracemalloc.start()
+        try:
+            graph = generate(parse_graph_spec("gnp:n=2000,p=0.5", seed=101001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * graph.neighbors.nbytes
 
 
 class TestDensityReport:
