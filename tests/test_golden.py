@@ -68,6 +68,31 @@ def test_critical_bias_q_ladder(k):
         assert (cv.p_star_k.hex(), cv.p_star_kq.hex()) == (p_star_k, want)
 
 
+# k|q|tol -> float.hex of p*_{k,q} solved at that tolerance: each phi_minus
+# solve may stop on its bracket width, on its residual or on the side of q
+Q_TOLERANCE = {
+    "3|0.6|1e-4": "0x1.c1afcf1c71c72p-5",
+    "3|0.6|1e-7": "0x1.c19e8870370e2p-5",
+    "3|0.9|1e-4": "0x1.c7b1c71c71c72p-4",
+    "3|0.9|1e-7": "0x1.c71c971c71c71p-4",
+    "17|0.6|1e-4": "0x1.dc30c1ffffffep-4",
+    "17|0.6|1e-7": "0x1.dc2eb010764acp-4",
+    "17|0.9|1e-4": "0x1.1ce5c88000000p-2",
+    "17|0.9|1e-7": "0x1.1ce4c5f849bf2p-2",
+    "65|0.6|1e-4": "0x1.20097f0000000p-3",
+    "65|0.6|1e-7": "0x1.1fec236e23538p-3",
+    "65|0.9|1e-4": "0x1.6da2948000000p-2",
+    "65|0.9|1e-7": "0x1.6d97828396d46p-2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(Q_TOLERANCE))
+def test_critical_bias_kq_tolerance(case):
+    k, q, tol = case.split("|")
+    cv = critical_bias_kq(int(k), float(q), float(tol))
+    assert cv.p_star_kq.hex() == Q_TOLERANCE[case]
+
+
 # k|p|mode -> float.hex of the tangency point mu (node mode reports it contracted)
 TANGENCY = {
     "3|0.1|edge": "0x1.ad46c680aaaa9p-1",
