@@ -392,14 +392,22 @@ def eval_dF(params: MeanFieldParams, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
+            q: float | None = None) -> float:
     """Bisection on a bracketed sign change; stops once the bracket is
     narrower than tol and the midpoint residual is within tol.  Only the
     class of each f value is read (see ``_rank``), so f may return any value
-    of the right class."""
+    of the right class.
+
+    Given q, it also stops once the bracket lies on one side of q (hi <= q
+    or lo > q).  Each bracket holds every later one, and a midpoint of two
+    doubles lies between them, so the midpoint returned then is on the same
+    side of q as the full-precision result: only that side is meaningful."""
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("bisection bracket does not straddle a sign change")
     for _ in range(_MAX_BISECT):
+        if q is not None and (hi <= q or lo > q):
+            break
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -457,10 +465,12 @@ def _rank(g: float, tol: float) -> int:
 _REGIME_BY_CLASS = (Regime.SUPERCRITICAL,) + (Regime.CRITICAL,) * 3 + (Regime.SUBCRITICAL,)
 
 
-def _dF_excess(edge: MeanFieldParams, x: float, tol: float) -> float:
-    """A value of the same class (``_rank``) as g = eval_dF(edge, x) - 1.0:
-    one certified from double arithmetic where that decides the class, else
-    g itself.
+def _dF_excess(edge: MeanFieldParams, tol: float):
+    """The test of one bias: a function of x that returns a value of the
+    same class (``_rank``) as g = eval_dF(edge, x) - 1.0, one certified from
+    double arithmetic where that decides the class, else g itself.  h,
+    fl(k (1-p)), C and the two widening factors do not depend on x, so they
+    are formed once per bias.
 
     g = fl(fl(k (1-p)) P) - 1.0, where P is the correctly rounded mode pmf
     C(k-1, h) (u (1-u))^h, h = (k-1)/2 and u = fl((1-p) x).  IEEE
@@ -494,19 +504,25 @@ def _dF_excess(edge: MeanFieldParams, x: float, tol: float) -> float:
     E and E L >= E / 2 are normal too.  u = 0 or 1 gives t = 0.  When
     t^h < _TINY or lo and hi give different classes, g is computed exactly.
     """
-    k, p = edge.k, edge.p
+    k, s = edge.k, 1.0 - edge.p
     h = (k - 1) // 2
-    u = (1.0 - p) * x  # as eval_dF forms it
-    power = _power(4.0 * (u * (1.0 - u)), h)
-    if power >= _TINY:
-        estimate = _fair_pmf(k - 1, h) * power
-        widen = (3 * h + 1) * 2.0**-52
-        slope = k * (1.0 - p)
-        g_lo = slope * math.nextafter(estimate * (1.0 - widen), 0.0) - 1.0
-        g_hi = slope * math.nextafter(estimate * (1.0 + widen), math.inf) - 1.0
-        if _rank(g_lo, tol) == _rank(g_hi, tol):
-            return g_hi
-    return eval_dF(edge, x) - 1.0
+    fair = _fair_pmf(k - 1, h)
+    widen = (3 * h + 1) * 2.0**-52
+    shrink, grow = 1.0 - widen, 1.0 + widen
+    slope = k * s
+
+    def excess(x: float) -> float:
+        u = s * x  # as eval_dF forms it
+        power = _power(4.0 * (u * (1.0 - u)), h)
+        if power >= _TINY:
+            estimate = fair * power
+            g_lo = slope * math.nextafter(estimate * shrink, 0.0) - 1.0
+            g_hi = slope * math.nextafter(estimate * grow, math.inf) - 1.0
+            if _rank(g_lo, tol) == _rank(g_hi, tol):
+                return g_hi
+        return eval_dF(edge, x) - 1.0
+
+    return excess
 
 
 def _classify(params: MeanFieldParams, tol: float):
@@ -517,15 +533,16 @@ def _classify(params: MeanFieldParams, tol: float):
     the regime is read off the sign of F(mu) - mu at the point where F' = 1.
 
     The search for mu reads only the class of each F'(x) - 1 (its sign and
-    whether it is within tol), and ``_dF_excess`` decides most classes in
-    double arithmetic with a proven error bound; only a value too close to a
-    class boundary for that bound runs the exact anchor of ``eval_dF``.  mu
-    is therefore the same double as with exact values throughout.
+    whether it is within tol).  ``_dF_excess`` sets up the bias's test once,
+    and the test decides most classes in double arithmetic with a proven
+    error bound; only a value too close to a class boundary for that bound
+    runs the exact anchor of ``eval_dF``.  mu is therefore the same double
+    as with exact values throughout.
     """
     p = params.p
     if p < 0.5:  # else 1/(2(1-p)) >= 1: no concave region, F convex on [0, 1]
         a = 0.5 / (1.0 - p)
-        g = lambda x: _dF_excess(params, x, tol)
+        g = _dF_excess(params, tol)
         g_a, g_1 = g(a), g(1.0)
         # A tangency point needs g_a > 0 > g_1.  If g_a <= 0, F' <= 1 on the
         # whole concave region while F(a) = 1/2 <= a, so F stays below the
@@ -538,13 +555,16 @@ def _classify(params: MeanFieldParams, tol: float):
     return Regime.SUPERCRITICAL, None, None
 
 
-def _phi_minus(edge: MeanFieldParams, tol: float):
+def _phi_minus(edge: MeanFieldParams, tol: float, q: float | None = None):
     """The edge-bias map's regime, tangency point mu, residual F(mu) - mu and
     unstable root phi_minus: all but the regime None when supercritical, and
     phi_minus = mu when critical.
 
     phi_minus is bracketed in [1/(2(1-p)), mu], where F' is monotone, so
-    the bracket holds a single sign change.
+    the bracket holds a single sign change.  Given q, the bisection stops
+    once its bracket lies on one side of q (see ``_bisect``): the phi_minus
+    returned is then meaningful only as its side of q, which is the side of
+    the full-precision root.
     """
     regime, mu, psi_mu = _classify(edge, tol)
     if regime is Regime.SUPERCRITICAL:
@@ -557,7 +577,7 @@ def _phi_minus(edge: MeanFieldParams, tol: float):
     if psi_a >= 0.0:
         return regime, mu, psi_mu, a
     psi = lambda x: eval_F(edge, x) - x
-    return regime, mu, psi_mu, _bisect(psi, a, mu, psi_a, psi_mu, tol)
+    return regime, mu, psi_mu, _bisect(psi, a, mu, psi_a, psi_mu, tol, q)
 
 
 def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPointSet:
@@ -617,7 +637,10 @@ def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValu
     the distance to the exact thresholds.
 
     Each probed bias bisects for mu, deciding each step as ``_classify``
-    says, and then for phi_minus on exact values of F.
+    says, and then for phi_minus on exact values of F, stopping once the
+    bracket lies on one side of q: the probe reads only phi_minus <= q,
+    and that side is the full-precision root's, so every bit of the result
+    is as with phi_minus solved to tol.
     """
     check_solver_args(k, tol, q)
     return _critical_values(k, q, tol)
@@ -639,8 +662,9 @@ def _critical_values(k: int, q: float | None, tol: float) -> CriticalValues:
     p_star = _critical_values(k, None, tol).p_star_k
 
     def phi_minus_within_q(p: float) -> bool:
-        # solves phi_minus only, as fixed_points does; phi_plus is not read
-        _, _, _, phi_minus = _phi_minus(MeanFieldParams(k, p, BiasMode.EDGE), tol)
+        # solves phi_minus only, as fixed_points does, and only to the side
+        # of q; phi_plus is not read
+        _, _, _, phi_minus = _phi_minus(MeanFieldParams(k, p, BiasMode.EDGE), tol, q)
         return phi_minus is not None and phi_minus <= q
 
     # Probe just inside the subcritical window: if even the largest phi_minus

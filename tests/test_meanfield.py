@@ -6,6 +6,7 @@ regularized incomplete beta for binomial tails, the k = 3 closed form, and
 frozen high-precision solutions of the tangency system F(x) = x, F'(x) = 1.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -700,7 +701,7 @@ class TestCertifiedDecisions:
                 xs = [a, 1.0] + [rng.uniform(a, 1.0) for _ in range(6)]
                 for tol in (1e-10, 1e-3):
                     for x in xs:
-                        got = meanfield._rank(meanfield._dF_excess(params, x, tol), tol)
+                        got = meanfield._rank(meanfield._dF_excess(params, tol)(x), tol)
                         assert got == _exact_excess_rank(params, x, tol), (k, p, x, tol)
                         cases += 1
         assert cases == 14 * 6 * 2 * 8
@@ -718,7 +719,7 @@ class TestCertifiedDecisions:
             xs = [math.nextafter(xs[0], 0.0)] + xs + [math.nextafter(xs[-1], 2.0)]
         exact = count_calls(meanfield, "eval_dF")
         for x in xs:
-            got = meanfield._rank(meanfield._dF_excess(params, x, 1e-10), 1e-10)
+            got = meanfield._rank(meanfield._dF_excess(params, 1e-10)(x), 1e-10)
             assert got == _exact_excess_rank(params, x, 1e-10), x
         # F'(x) - 1 changes sign between lo and hi, within the estimate's
         # error bound of 0, so both run the exact anchor
@@ -737,6 +738,53 @@ class TestCertifiedDecisions:
         exact = count_calls(meanfield, "eval_dF")
         critical_bias_k(k)
         assert len(exact) <= 10
+
+
+def _phi_minus_grid():
+    """(edge params, tol) over a seeded grid of subcritical biases."""
+    rng = random.Random(20231)
+    for k in (3, 5, 17, 65, 257):
+        p_star = critical_bias_k(k).p_star_k
+        for p in [0.0] + sorted(rng.uniform(0.0, 0.98 * p_star) for _ in range(4)):
+            for tol in (1e-10, 1e-5):
+                yield MeanFieldParams(k, p, EDGE), tol
+
+
+# sha256 of the float.hex of each full-precision phi_minus over _phi_minus_grid
+PHI_MINUS_GRID_SHA256 = "ac0f1404608981a79f5680731f18b1e9c8d67ae537ad571e274cb156af28af05"
+
+
+class TestPhiMinusQStop:
+    """The q-threshold predicate reads only phi_minus <= q, so the phi_minus
+    bisection given q may stop once its bracket lies on one side of q."""
+
+    def test_side_of_q_matches_full_precision(self):
+        rng = random.Random(20232)
+        digest = hashlib.sha256()
+        cases = 0
+        for edge, tol in _phi_minus_grid():
+            regime, mu, _, phi_minus = meanfield._phi_minus(edge, tol)
+            assert regime is not Regime.SUPERCRITICAL, edge
+            assert fixed_points(edge, tol).phi_minus == phi_minus
+            digest.update(phi_minus.hex().encode())
+            a = 0.5 / (1.0 - edge.p)
+            first_mid = 0.5 * (a + mu)  # a bracket end lands exactly on q
+            qs = [first_mid, mu, math.nextafter(mu, 2.0), 1.0, phi_minus,
+                  math.nextafter(phi_minus, 0.0), math.nextafter(phi_minus, 2.0)]
+            qs += [rng.uniform(0.5, 1.0) for _ in range(4)]
+            for q in qs:
+                got = meanfield._phi_minus(edge, tol, q)[3]
+                assert (got <= q) == (phi_minus <= q), (edge, tol, q)
+                cases += 1
+        assert cases == 5 * 5 * 2 * 11
+        assert digest.hexdigest() == PHI_MINUS_GRID_SHA256
+
+    def test_q_stop_cuts_map_evaluations(self, count_calls):
+        critical_bias_k(65)  # p*_65 memoised: count only the q solve
+        calls = count_calls(meanfield, "eval_F")
+        assert critical_bias_kq(65, 0.6).p_star_kq.hex() == "0x1.1fec1a6d54906p-3"
+        # 1 110 when each phi_minus is solved to full precision
+        assert len(calls) <= 700
 
 
 class TestTrajectory:
