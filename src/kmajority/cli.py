@@ -51,7 +51,6 @@ from kmajority.experiments import (
     write_summary_json,
 )
 from kmajority.graph import (
-    GraphFormatError,
     density_report,
     generate,
     parse_graph_spec,
@@ -461,10 +460,8 @@ def main(argv=None) -> int:
         return 0
     except (OSError, RuntimeError, ValueError) as exc:
         _emit_error(str(exc))
-        # a ValueError from the checks rejects the input; an unreadable graph
-        # file is a runtime failure
-        rejected = isinstance(exc, ValueError) and not isinstance(exc, GraphFormatError)
-        return 2 if rejected and not started else 1
+        # only a ValueError from the checks rejects the input
+        return 2 if isinstance(exc, ValueError) and not started else 1
 
 
 if __name__ == "__main__":

@@ -1,18 +1,19 @@
 """Undirected simple graphs for the dynamics: generation, file I/O, density checks.
 
 A ``Graph`` stores its adjacency in a flat CSR-like layout
-(``neighbors``/``offsets``).  A generated complete graph is a
-``CompleteGraph``, stored by its size alone: row u of K_n is 0..n-1 without u,
-so entry j of it is ``j + (j >= u)`` and O(n) memory suffices; its CSR arrays
-are built only when something reads them.  The round engine reaches
+(``neighbors``/``offsets``) and nothing else: its size, degrees and volume
+are read off ``offsets``.  A generated complete graph is a ``CompleteGraph``,
+which stores only its O(n) ``offsets``: row u of K_n is 0..n-1 without u, so
+entry j of it is ``j + (j >= u)``, and its ``neighbors`` array is built only
+when something reads it.  The round engine reaches
 neighbors only through ``sample_neighbors`` and ``r_neighbor_counts``.  A
 complete graph answers both by arithmetic.  A CSR graph samples from its
 rows, and counts either from a packed bit matrix of its adjacency (dense
 graphs on numpy >= 2.0, see ``Graph._bits``) or by scattering its minority
 colour's rows.  A K_n read from an edge-list file keeps the CSR storage.
-Every constructed graph is validated: simple, symmetric, and with minimum
-degree 1 (the update rule samples neighbors, so isolated nodes are a hard
-error).
+Every constructed graph is validated: its builder makes it simple and
+symmetric, and ``Graph`` itself rejects a node of degree 0 (the update rule
+samples neighbors, so isolated nodes are a hard error).
 
 A CSR graph is built by one of two routes, with the same bytes either way.
 A dense G(n, p) (``_gnp_dense``: p at least about 1/4, see ``_generate_gnp``)
@@ -71,7 +72,7 @@ _SPEC_ROWS = {
 }
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(RuntimeError):
     """Malformed edge-list file; carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -82,6 +83,11 @@ class GraphFormatError(ValueError):
 class GraphConstructionError(RuntimeError):
     """A structurally valid spec produced an unusable graph (isolated node,
     regular pairing not realizable, ...)."""
+
+
+def _isolated(node: int) -> GraphConstructionError:
+    return GraphConstructionError(
+        f"node {node} is isolated; the dynamics cannot sample a neighbor")
 
 
 @dataclass(frozen=True)
@@ -128,15 +134,32 @@ class GraphSpec:
 class Graph:
     """Immutable undirected simple graph in flat adjacency layout.
 
-    ``neighbors[offsets[u]:offsets[u+1]]`` is the sorted neighbor list of u;
-    ``total_volume`` is the degree sum (twice the edge count).
+    ``neighbors[offsets[u]:offsets[u+1]]`` is the sorted neighbor list of u.
+    The two arrays are all a graph stores: ``n``, ``degrees`` and
+    ``total_volume`` (the degree sum, twice the edge count) are read off
+    ``offsets``.  Construction raises ``GraphConstructionError`` naming the
+    first node of degree 0.
     """
 
-    n: int
     neighbors: np.ndarray  # int32, length = sum of degrees
     offsets: np.ndarray    # int64, length n + 1
-    degrees: np.ndarray    # int64, length n
-    total_volume: int
+
+    def __post_init__(self) -> None:
+        if self.degrees.min() < 1:
+            raise _isolated(int(np.argmin(self.degrees)))
+
+    @property
+    def n(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """int64, length n."""
+        return np.diff(self.offsets)
+
+    @property
+    def total_volume(self) -> int:
+        return int(self.offsets[-1])
 
     def neighbors_of(self, u: int) -> np.ndarray:
         return self.neighbors[self.offsets[u] : self.offsets[u + 1]]
@@ -241,17 +264,16 @@ def _complete_row_entry(u, j):
 
 
 class CompleteGraph(Graph):
-    """K_n stored by its size: neighbor ids are computed, not looked up.
+    """K_n stored by its O(n) offsets: neighbor ids are computed, not looked up.
 
-    ``neighbors`` and ``offsets`` hold the same CSR arrays a ``Graph`` would,
-    built on first access (n(n-1) entries).  ``neighbors_of`` computes one
-    row, so the engine never touches them.
+    ``neighbors`` holds the same array a ``Graph`` would, built on first
+    access (n(n-1) entries).  ``neighbors_of`` computes one row, so the
+    engine never touches it.
     """
 
     def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degrees", np.full(n, n - 1, dtype=np.int64))
-        object.__setattr__(self, "total_volume", n * (n - 1))
+        object.__setattr__(self, "offsets", np.arange(n + 1, dtype=np.int64) * (n - 1))
+        self.__post_init__()
 
     def __repr__(self) -> str:
         return f"CompleteGraph(n={self.n})"
@@ -261,10 +283,6 @@ class CompleteGraph(Graph):
         n = self.n
         rows = np.repeat(np.arange(n, dtype=np.int32), n - 1)
         return _complete_row_entry(rows, np.tile(np.arange(n - 1, dtype=np.int32), n))
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.arange(self.n + 1, dtype=np.int64) * (self.n - 1)
 
     def neighbors_of(self, u: int) -> np.ndarray:
         return _complete_row_entry(u, np.arange(self.n - 1, dtype=np.int32))
@@ -304,24 +322,8 @@ def _build_from_keys(n: int, keys: np.ndarray) -> Graph:
     both[m:] += sources
     both.sort()
     offsets = np.searchsorted(both, np.arange(n + 1, dtype=both.dtype) * n)
-    degrees = np.diff(offsets)
-    _check_no_isolated(degrees)
     both %= n
-    return Graph(
-        n=n,
-        neighbors=both.astype(np.int32, copy=False),
-        offsets=offsets,
-        degrees=degrees,
-        total_volume=len(both),
-    )
-
-
-def _check_no_isolated(degrees: np.ndarray) -> None:
-    if degrees.min() < 1:
-        isolated = int(np.argmin(degrees))
-        raise GraphConstructionError(
-            f"node {isolated} is isolated; the dynamics cannot sample a neighbor"
-        )
+    return Graph(neighbors=both.astype(np.int32, copy=False), offsets=offsets)
 
 
 def _generate_gnp(n: int, edge_prob: float, seed: int) -> Graph:
@@ -374,15 +376,12 @@ def _gnp_dense(n: int, edge_prob: float, seed: int) -> Graph:
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         adjacency[start:, start:stop] |= adjacency[start:stop, start:].T
-    degrees = np.count_nonzero(adjacency, axis=1)
-    _check_no_isolated(degrees)
-    offsets = np.zeros(n + 1, dtype=degrees.dtype)
-    np.cumsum(degrees, out=offsets[1:])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(adjacency, axis=1), out=offsets[1:])
     neighbors = np.empty(offsets[-1], dtype=np.int32)
     for u, row in enumerate(adjacency):
         neighbors[offsets[u] : offsets[u + 1]] = row.nonzero()[0]
-    return Graph(n=n, neighbors=neighbors, offsets=offsets, degrees=degrees,
-                 total_volume=int(offsets[-1]))
+    return Graph(neighbors=neighbors, offsets=offsets)
 
 
 def _generate_random_regular(n: int, d: int, seed: int) -> Graph:
