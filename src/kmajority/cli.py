@@ -12,9 +12,9 @@ graphgen   materialize a graph spec into an edge-list file
 Conventions: structured results go to stdout as JSON carrying "schema": 1;
 errors go to stderr as JSON; exit codes are 0 (ok), 2 (input rejected
 before any work: flags, config, or parameters the dataclasses refuse), 1
-(runtime failure, including any error once the work has started).  All
-randomness derives from the --seed flag (or the config's base_seed), never
-from the environment.
+(runtime failure, an allocation failure included, or any error once the
+work has started).  All randomness derives from the --seed flag (or the
+config's base_seed), never from the environment.
 
 Each command's handler is a generator: it checks its inputs, yields once
 where its work (a solve, a replica, an output write) starts, and then
@@ -458,8 +458,8 @@ def main(argv=None) -> int:
         started = True
         _emit(next(steps))  # the work
         return 0
-    except (OSError, RuntimeError, ValueError) as exc:
-        _emit_error(str(exc))
+    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
+        _emit_error(str(exc) or type(exc).__name__)  # a bare MemoryError has no message
         # only a ValueError from the checks rejects the input
         return 2 if isinstance(exc, ValueError) and not started else 1
 

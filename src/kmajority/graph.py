@@ -478,6 +478,12 @@ def load_edge_list(path: str | Path) -> Graph:
         # an id past the header would alias another edge's key
         first = next(edge for edge in seen if edge[1] >= n)
         raise GraphFormatError(f"node id {first[1]} >= declared n={n}", seen[first])
+    if n > 2 * len(seen):
+        # the edges touch fewer than n ids: name the first untouched one
+        # without an n-sized array, which a large header would make
+        touched = np.unique(np.concatenate([lo, hi]))
+        gaps = np.flatnonzero(touched != np.arange(touched.size))
+        raise _isolated(int(gaps[0]) if gaps.size else touched.size)
     return _build_from_keys(n, lo * n + hi)
 
 

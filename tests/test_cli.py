@@ -173,6 +173,35 @@ class TestSimulateCommand:
         assert json.loads(err)["error"].startswith("line 1: not UTF-8 text")
         assert not (tmp_path / "bad.edges.out").exists()
 
+    def test_allocation_failure_is_runtime_error(self, capsys):
+        # K_n's offsets for n = 10**15 would take 8 PB; MemoryError used to
+        # escape main with a traceback and no JSON
+        code, out, err = run_cli(capsys, "simulate", "--graph", f"complete:n={10**15}",
+                                 "--k", "3", "--p", "0.1")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("Unable to allocate")
+
+    def test_bare_memory_error_is_named(self, capsys, monkeypatch):
+        # a MemoryError that Python raises itself carries no message
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run", fail)
+        code, out, err = run_cli(capsys, "simulate", "--graph", "complete:n=50", "--k", "3",
+                                 "--p", "0.05")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "MemoryError"
+
+    def test_large_header_is_isolated_node_error(self, capsys, tmp_path):
+        # the header asks for 10**15 nodes, which the load used to allocate
+        path = tmp_path / "big.edges"
+        path.write_text(f"# n={10**15}\n0 1\n")
+        code, out, err = run_cli(capsys, "graphgen", "--spec", f"file:{path}",
+                                 "--out", str(tmp_path / "g.edges"))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("node 2 is isolated")
+        assert not (tmp_path / "g.edges").exists()
+
     @pytest.mark.parametrize("trace", ["afile/t.csv", "adir"])
     def test_unwritable_trace_runs_nothing(self, capsys, tmp_path, count_calls, trace):
         # a trace path under a file or naming a directory used to fail with

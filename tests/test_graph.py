@@ -11,6 +11,7 @@ from conftest import edges
 
 from kmajority import graph as graph_module
 from kmajority.graph import (
+    Graph,
     GraphConstructionError,
     GraphFormatError,
     GraphKind,
@@ -46,6 +47,34 @@ def assert_valid(graph):
     for u, v in pairs:
         assert (v, u) in pairs, f"asymmetric edge ({u}, {v})"
     assert graph.total_volume == 2 * graph.edge_count
+
+
+class TestDerivedSizes:
+    # gnp:n=200 takes the dense route at p = 0.5 and the edge-key route at
+    # p = 0.1 (the switch is at p = 200 / 796)
+    @pytest.mark.parametrize("text", [
+        "complete:n=50", "gnp:n=200,p=0.5", "gnp:n=200,p=0.1", "regular:n=60,d=6", "file"])
+    def test_sizes_are_read_off_offsets(self, tmp_path, text):
+        if text == "file":
+            path = tmp_path / "g.edges"
+            path.write_text("# n=5\n0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n")
+            text = f"file:{path}"
+        graph = generate(parse_graph_spec(text, seed=4))
+        assert graph.n == len(graph.offsets) - 1
+        assert graph.degrees.dtype == np.int64
+        assert np.array_equal(graph.degrees, np.diff(graph.offsets))
+        assert type(graph.total_volume) is int
+        assert graph.total_volume == graph.offsets[-1]
+
+    @pytest.mark.parametrize("node", [0, 1, 3])
+    def test_zero_degree_row_is_rejected(self, node):
+        # the 4-cycle 0-1-2-3 with node's row emptied
+        rows = [[1, 3], [0, 2], [1, 3], [0, 2]]
+        rows[node] = []
+        offsets = np.cumsum([0] + [len(row) for row in rows])
+        neighbors = np.array(sum(rows, []), dtype=np.int32)
+        with pytest.raises(GraphConstructionError, match=f"^node {node} is isolated"):
+            Graph(neighbors=neighbors, offsets=offsets)
 
 
 class TestGenerate:
@@ -203,6 +232,26 @@ class TestEdgeListIO:
         path = tmp_path / "empty.edges"
         path.write_text("# nothing\n")
         with pytest.raises(GraphFormatError):
+            load_edge_list(path)
+
+    def test_format_error_is_a_runtime_failure(self):
+        assert issubclass(GraphFormatError, RuntimeError)
+        assert not issubclass(GraphFormatError, ValueError)
+
+    @pytest.mark.parametrize("content, node", [
+        # offsets for 10**15 nodes would take 8 PB; the load used to raise
+        # MemoryError building them
+        (f"# n={10**15}\n0 1\n", 2),
+        (f"0 {10**15}\n", 1),
+        # more nodes than twice the edges, with the gap inside the ids
+        ("# n=7\n0 1\n1 3\n", 2),
+        # at most twice the edges: the graph is built, and Graph rejects it
+        ("# n=4\n0 1\n1 3\n", 2),
+    ])
+    def test_untouched_node_is_isolated(self, tmp_path, content, node):
+        path = tmp_path / "sparse.edges"
+        path.write_text(content)
+        with pytest.raises(GraphConstructionError, match=f"^node {node} is isolated"):
             load_edge_list(path)
 
 
