@@ -20,8 +20,9 @@ Each command's handler is a generator: it checks its inputs, yields once
 where its work (a solve, a replica, an output write) starts, and then
 yields the command's JSON document.
 
-load_sweep_config checks a sweep config's keys and JSON types (integer fields
-take JSON integers only), the dataclasses its ranges, before any output.
+load_sweep_config checks a sweep config's keys (none repeated) and JSON types
+(integer fields take JSON integers only), the dataclasses its ranges, before
+any output.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def _cmd_simulate(args):
     graph = generate(spec)
     check(graph, params)
     yield
-    config0 = init_random(graph, args.q, args.seed)
-    record = run(graph, config0, params, record_phi=args.phi_detail)
+    record = run(graph, init_random(graph, args.q, args.seed), params,
+                 record_phi=args.phi_detail)
     report = density_report(graph)
     doc = {
         "schema": 1,
@@ -306,6 +307,17 @@ def _check_json(value, json_type, pointer: str = "") -> None:
         raise _invalid(pointer, f"expected {_JSON_NAMES[json_type]}, got {json.dumps(value)}")
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object of the config as a dict, rejecting a repeated key,
+    whose last value json.load would otherwise keep."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"sweep config invalid: repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def _expand_p_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, list):
         return tuple(float(p) for p in raw)
@@ -321,7 +333,7 @@ def _expand_p_grid(raw) -> tuple[float, ...]:
 def load_sweep_config(path: str | Path) -> tuple[SweepSpec, Path]:
     """Check a sweep config file's shape; build its SweepSpec and out dir."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=_unique_keys)
     _check_json(raw, _SWEEP_KEYS)
     if raw.get("schema", 1) != 1:
         raise _invalid("/schema", f"expected 1, got {raw['schema']}")

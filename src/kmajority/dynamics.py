@@ -19,8 +19,11 @@ Bias modes (strength ``p``):
 Randomness is counter-based and splittable: replica = the 64-bit seed,
 round t = ``SeedSequence(seed, spawn_key=(1, t))`` feeding a Philox
 generator, node u = row u of the (n, cols) uniform block drawn from that
-generator.  A node's update is therefore a pure function of (states at
-round t, seed, t, u), independent of the order nodes are processed in.
+generator.  A configuration is its bool state vector (True = R): ``step``
+maps the states of round t, with t passed beside them, to those of round
+t + 1, and ``run`` reads the R volume ``degrees @ states`` off each round.
+A node's update is therefore a pure function of (states at round t, seed,
+t, u), independent of the order nodes are processed in.
 The deterministic-majority edge-bias read count is Bin(#R-neighbors, 1-p)
 sampled by inverse CDF from the node's single uniform, keeping the same
 per-node substream contract.
@@ -41,12 +44,10 @@ from kmajority.meanfield import MAX_K, BiasMode, binom_pmf
 __all__ = [
     "Family",
     "DynamicsParams",
-    "Configuration",
     "RunRecord",
     "check",
     "default_max_rounds",
     "init_random",
-    "make_configuration",
     "phi_stats",
     "r_neighbor_counts",
     "run",
@@ -111,23 +112,6 @@ class DynamicsParams:
         if self.family is Family.DETERMINISTIC_MAJORITY:
             return None
         return 1 if self.family is Family.VOTER else self.k
-
-
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """Per-node states at one round (True = R) plus the cached R volume."""
-
-    states: np.ndarray
-    r_volume: int
-    round_index: int
-
-
-def make_configuration(graph: Graph, states: np.ndarray, round_index: int = 0) -> Configuration:
-    states = np.asarray(states, dtype=bool)
-    if states.shape != (graph.n,):
-        raise ValueError(f"states must have shape ({graph.n},), got {states.shape}")
-    r_volume = int(graph.degrees @ states)
-    return Configuration(states=states, r_volume=r_volume, round_index=round_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +192,17 @@ def r_neighbor_counts(graph: Graph, states: np.ndarray) -> np.ndarray:
     return graph.r_neighbor_counts(states)
 
 
-def phi_stats(graph: Graph, config: Configuration) -> tuple[float, float]:
+def _checked(graph: Graph, states: np.ndarray) -> np.ndarray:
+    """The states as a bool vector, one entry per node."""
+    states = np.asarray(states, dtype=bool)
+    if states.shape != (graph.n,):
+        raise ValueError(f"states must have shape ({graph.n},), got {states.shape}")
+    return states
+
+
+def phi_stats(graph: Graph, states: np.ndarray) -> tuple[float, float]:
     """(min, max) over nodes of the R-neighbor fraction."""
-    phi = r_neighbor_counts(graph, config.states) / graph.degrees
+    phi = r_neighbor_counts(graph, _checked(graph, states)) / graph.degrees
     return float(phi.min()), float(phi.max())
 
 
@@ -283,18 +275,17 @@ def _new_states(
     return new
 
 
-def step(graph: Graph, config: Configuration, params: DynamicsParams) -> Configuration:
-    """Advance one synchronous round (double-buffered: every new state is a
-    function of the round-t configuration only).
+def step(graph: Graph, states: np.ndarray, params: DynamicsParams, t: int) -> np.ndarray:
+    """The states of round t + 1 from those of round t (double-buffered:
+    every new state is a function of the round-t states only).
 
     All-B needs no special case: with no R to read every count is 0, which
     is neither a majority nor a tie (k >= 1 and every degree is >= 1), and
     node corruption only sets B, so all-B maps to all-B.  Drawing that
     round's block changes no later round, whose block has its own counter.
     """
-    t = config.round_index
     block = _round_block(graph.n, _block_cols(params), params.seed, t)
-    return make_configuration(graph, _new_states(graph, config.states, params, block), t + 1)
+    return _new_states(graph, _checked(graph, states), params, block)
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +293,11 @@ def step(graph: Graph, config: Configuration, params: DynamicsParams) -> Configu
 # ---------------------------------------------------------------------------
 
 
-def init_random(graph: Graph, q: float, seed: int) -> Configuration:
+def init_random(graph: Graph, q: float, seed: int) -> np.ndarray:
     """Each node independently R with probability q; deterministic in seed."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"initial probability q must lie in [0, 1], got {q!r}")
-    rng = _generator(seed, (_INIT_STREAM,))
-    states = rng.random(graph.n) < q
-    return make_configuration(graph, states, round_index=0)
-
-
-def _disrupted(graph: Graph, config: Configuration) -> bool:
-    # B volume fraction > 1/2  <=>  2 * r_volume < total volume (exact ints)
-    return 2 * config.r_volume < graph.total_volume
+    return _generator(seed, (_INIT_STREAM,)).random(graph.n) < q
 
 
 def check(graph: Graph, params: DynamicsParams) -> None:
@@ -333,7 +317,7 @@ def check(graph: Graph, params: DynamicsParams) -> None:
 
 def run(
     graph: Graph,
-    config0: Configuration,
+    states: np.ndarray,
     params: DynamicsParams,
     record_phi: bool = False,
 ) -> RunRecord:
@@ -341,9 +325,9 @@ def run(
 
     ``check(graph, params)`` runs first.  The cap is ``params.max_rounds``,
     or ``default_max_rounds(graph.n)`` when that is None; the record carries
-    the cap it ran under.  Every round, the initial configuration included,
-    is recorded and checked for disruption alike (an all-B start has
-    tau = 0 with zero steps executed).
+    the cap it ran under.  Every round, the initial states included, is
+    recorded and checked for disruption alike (an all-B start has tau = 0
+    with zero steps executed).
     """
     check(graph, params)
     max_rounds = params.max_rounds
@@ -353,18 +337,20 @@ def run(
     trajectory = []
     phi_min = [] if record_phi else None
     phi_max = [] if record_phi else None
-    config = config0
+    states = _checked(graph, states)
     t = 0
     while True:
-        trajectory.append(config.r_volume / vol)
+        r_volume = int(graph.degrees @ states)
+        trajectory.append(r_volume / vol)
         if record_phi:
-            lo, hi = phi_stats(graph, config)
+            lo, hi = phi_stats(graph, states)
             phi_min.append(lo)
             phi_max.append(hi)
-        disrupted = _disrupted(graph, config)
+        # B volume fraction > 1/2  <=>  2 * r_volume < total volume (exact ints)
+        disrupted = 2 * r_volume < vol
         if disrupted or t == max_rounds:
             break
-        config = step(graph, config, params)
+        states = step(graph, states, params, t)
         t += 1
     return RunRecord(
         tau=t if disrupted else None,

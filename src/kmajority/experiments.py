@@ -269,14 +269,14 @@ def meanfield_comparison(graph: Graph, params: DynamicsParams, q0: float,
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     k = params.sample_size
     orbit = trajectory(MeanFieldParams(k, params.p, params.mode), q0, T)
-    config = init_random(graph, q0, params.seed)
+    states = init_random(graph, q0, params.seed)
     deviations: list[float] = []
     for t in range(T + 1):
         # max over nodes of |phi - c| is max(phi_max - c, c - phi_min), bit for bit
-        lo, hi = phi_stats(graph, config)
+        lo, hi = phi_stats(graph, states)
         deviations.append(max(hi - orbit[t], orbit[t] - lo))
         if t < T:
-            config = step(graph, config, params)
+            states = step(graph, states, params, t)
     rounds_passed = [d <= gamma for d in deviations]
     return ComparisonReport(deviations=deviations, mean_field=orbit,
                             rounds_passed=rounds_passed, passed=all(rounds_passed))

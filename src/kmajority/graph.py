@@ -539,7 +539,10 @@ def parse_graph_spec(text: str, seed: int = 0) -> GraphSpec:
             key, eq, val = item.partition("=")
             if not eq:
                 raise ValueError(f"malformed graph parameter {item!r} in {text!r}")
-            params[key.strip()] = val.strip()
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"repeated graph parameter {key!r} in {text!r}")
+            params[key] = val.strip()
     kind = next((each for each in _SPEC_ROWS if each.value == name), None)
     if kind is None:
         raise ValueError(f"unknown graph kind {name!r} (expected complete/gnp/regular/file)")

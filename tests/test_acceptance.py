@@ -236,7 +236,7 @@ def test_criterion_11_deterministic_majority_dichotomy(k2000):
                                 seed=seed, max_rounds=5)
         cfg = init_random(k2000, 1.0, seed)
         rec = run(k2000, cfg, params)
-        all_b_round2 = step(k2000, step(k2000, cfg, params), params).r_volume == 0
+        all_b_round2 = int(k2000.degrees @ step(k2000, step(k2000, cfg, params, 0), params, 1)) == 0
         node_fast += (rec.tau is not None and rec.tau <= 1) and all_b_round2
     assert node_fast >= 99
 

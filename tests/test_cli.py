@@ -554,6 +554,22 @@ class TestSweepCommand:
         assert json.loads(err.splitlines()[-1])["error"]
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("field, pairs, key", [
+        ("replicas", '"replicas": 2, "replicas": 3', "replicas"),
+        ("p_grid", '"p_grid": {"min": 0.05, "max": 0.17, "steps": 3, "steps": 2}', "steps"),
+    ])
+    def test_repeated_key_rejected_before_running(self, capsys, tmp_path, field, pairs, key):
+        # json.load kept the last value: "replicas": 2, "replicas": 3 wrote
+        # 3 replicas and exited 0
+        cfg = self.config(tmp_path, graph="complete:n=20", replicas=1, max_rounds=1)
+        doc = json.loads(cfg.read_text())
+        del doc[field]
+        cfg.write_text(f"{json.dumps(doc)[:-1]}, {pairs}}}")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f'sweep config invalid: repeated key "{key}"'
+        assert not (tmp_path / "results").exists()
+
     def test_config_not_an_object_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text("[1]")
@@ -574,6 +590,10 @@ UP_FRONT_REJECTIONS = {
         "k-majority requires 1 <= k <= 10000, got k=0",
     "simulate --graph gnp:n=3000,p=0.5 --k 3 --p 0.1 --q 1.5":
         "argument --q: expected a number in [0, 1], got '1.5'",
+    "meanfield --k 10001 --p 0.1 --q0 0.5":
+        "sample size k=10001 exceeds the supported cap 10000",
+    "simulate --graph gnp:n=3000,p=0.5 --k 3 --p abc":
+        "argument --p: expected a finite number, got 'abc'",
     "meanfield --k 1001 --p 0.4 --q0 1.5":
         "argument --q0: expected a number in [0, 1], got '1.5'",
     "meanfield --k 1001 --p 0.4 --q0 0.9 --rounds -1":

@@ -17,7 +17,6 @@ from kmajority.dynamics import (
     _round_block,
     default_max_rounds,
     init_random,
-    make_configuration,
     phi_stats,
     r_neighbor_counts,
     run,
@@ -71,14 +70,14 @@ class TestInitRandom:
     def test_extremes(self):
         g = complete(50)
         all_r = init_random(g, 1.0, 3)
-        assert all_r.states.all() and all_r.r_volume == g.total_volume
+        assert all_r.all() and int(g.degrees @ all_r) == g.total_volume
         all_b = init_random(g, 0.0, 3)
-        assert not all_b.states.any() and all_b.r_volume == 0
+        assert not all_b.any() and int(g.degrees @ all_b) == 0
 
     def test_concentration(self):
         g = complete(1000)
-        cfg = init_random(g, 0.75, 9)
-        frac = cfg.r_volume / g.total_volume
+        s = init_random(g, 0.75, 9)
+        frac = int(g.degrees @ s) / g.total_volume
         sigma = math.sqrt(0.75 * 0.25 / 1000)
         assert abs(frac - 0.75) < 3 * sigma
 
@@ -87,24 +86,45 @@ class TestInitRandom:
         a = init_random(g, 0.6, 5)
         b = init_random(g, 0.6, 5)
         c = init_random(g, 0.6, 6)
-        assert np.array_equal(a.states, b.states)
-        assert not np.array_equal(a.states, c.states)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: init_random(g, 1.5, 0), "initial probability q must lie in [0, 1], got 1.5"),
+        (lambda g: run(g, np.ones(4, dtype=bool), kmaj(0.1)),
+         "states must have shape (5,), got (4,)"),
+        (lambda g: step(g, np.ones((5, 1), dtype=bool), kmaj(0.1), 0),
+         "states must have shape (5,), got (5, 1)"),
+        (lambda g: phi_stats(g, [True] * 6), "states must have shape (5,), got (6,)"),
+        (lambda g: DynamicsParams(family="kmaj", p=0.1, k=3),
+         "family must be a Family, got 'kmaj'"),
+        (lambda g: DynamicsParams(family=Family.VOTER, p=0.1, mode="edge"),
+         "mode must be a BiasMode, got 'edge'"),
+        (lambda g: MeanFieldParams(3, 0.1, "node"), "mode must be a BiasMode, got 'node'"),
+    ], ids=["init_random q", "run states", "step states", "phi_stats states",
+            "DynamicsParams family", "DynamicsParams mode", "MeanFieldParams mode"])
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call(complete(5))
+        assert str(err.value) == message
 
 
 class TestStep:
     def test_all_b_absorbing_every_family(self):
         g = complete(60)
-        start = make_configuration(g, np.zeros(60, dtype=bool))
+        start = np.zeros(60, dtype=bool)
         for params in [
             kmaj(0.3, EDGE, 1), kmaj(0.3, NODE, 1),
             DynamicsParams(family=Family.VOTER, p=0.3, mode=EDGE, seed=1),
             DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.3, mode=EDGE, seed=1),
             DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.3, mode=NODE, seed=1),
         ]:
-            cfg = start
-            for _ in range(100):
-                cfg = step(g, cfg, params)
-                assert cfg.r_volume == 0 and not cfg.states.any()
+            s = start
+            for t in range(100):
+                s = step(g, s, params, t)
+                assert int(g.degrees @ s) == 0 and not s.any()
 
     @pytest.mark.parametrize("mode", [EDGE, NODE])
     def test_all_b_absorbing_on_csr_graph(self, mode):
@@ -116,63 +136,47 @@ class TestStep:
                 DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=p, mode=mode, seed=1),
             ]:
                 for t in (0, 1, 9):
-                    start = make_configuration(g, np.zeros(300, dtype=bool), round_index=t)
-                    cfg = step(g, start, params)
-                    assert not cfg.states.any() and cfg.r_volume == 0, (params, t)
-                    assert cfg.round_index == t + 1
+                    s = step(g, np.zeros(300, dtype=bool), params, t)
+                    assert not s.any() and int(g.degrees @ s) == 0, (params, t)
 
     def test_all_r_no_bias_is_fixed(self):
         g = complete(60)
-        start = make_configuration(g, np.ones(60, dtype=bool))
+        start = np.ones(60, dtype=bool)
         for params in [
             kmaj(0.0, EDGE, 2), kmaj(0.0, NODE, 2),
             DynamicsParams(family=Family.VOTER, p=0.0, mode=EDGE, seed=2),
             DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.0, mode=NODE, seed=2),
         ]:
-            cfg = start
-            for _ in range(30):
-                cfg = step(g, cfg, params)
-                assert cfg.states.all()
-
-    def test_volume_cache_consistency(self):
-        g = generate(GraphSpec(GraphKind.GNP, n=300, edge_prob=0.3, seed=4))
-        cfg = init_random(g, 0.9, 7)
-        params = kmaj(0.1, EDGE, 7)
-        for _ in range(20):
-            cfg = step(g, cfg, params)
-            assert cfg.r_volume == int(g.degrees @ cfg.states)
-
-    def test_round_index_advances(self):
-        g = complete(20)
-        cfg = init_random(g, 0.8, 1)
-        nxt = step(g, cfg, kmaj(0.1, EDGE, 1))
-        assert nxt.round_index == cfg.round_index + 1
+            s = start
+            for t in range(30):
+                s = step(g, s, params, t)
+                assert s.all()
 
     def test_step_is_pure(self):
         g = complete(200)
-        cfg = init_random(g, 0.9, 11)
+        s = init_random(g, 0.9, 11)
         params = kmaj(0.1, EDGE, 11)
-        a = step(g, cfg, params)
-        b = step(g, cfg, params)
-        assert np.array_equal(a.states, b.states)
+        a = step(g, s, params, 0)
+        b = step(g, s, params, 0)
+        assert np.array_equal(a, b)
 
     def test_det_majority_strong_bias_flips_everyone_in_one_round(self):
         g = complete(500)
-        start = make_configuration(g, np.ones(500, dtype=bool))
+        start = np.ones(500, dtype=bool)
         all_b = 0
         for seed in range(100):
             params = DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.6,
                                     mode=EDGE, seed=seed)
-            all_b += step(g, start, params).r_volume == 0
+            all_b += int(g.degrees @ step(g, start, params, 0)) == 0
         assert all_b >= 99
 
     def test_voter_equals_k1_majority(self):
         g = complete(200)
-        cfg = init_random(g, 0.9, 13)
+        s = init_random(g, 0.9, 13)
         for mode in (EDGE, NODE):
             pv = DynamicsParams(family=Family.VOTER, p=0.2, mode=mode, seed=13)
             p1 = DynamicsParams(family=Family.KMAJORITY, p=0.2, mode=mode, seed=13, k=1)
-            assert np.array_equal(step(g, cfg, pv).states, step(g, cfg, p1).states)
+            assert np.array_equal(step(g, s, pv, 0), step(g, s, p1, 0))
 
 
 class TestSynchronyOrderIndependence:
@@ -182,16 +186,16 @@ class TestSynchronyOrderIndependence:
     @staticmethod
     def check_rows_are_substreams(params):
         g = generate(GraphSpec(GraphKind.GNP, n=257, edge_prob=0.2, seed=6))
-        cfg = init_random(g, 0.8, params.seed)
-        block = _round_block(g.n, _block_cols(params), params.seed, cfg.round_index)
-        full = _new_states(g, cfg.states, params, block)
-        assert np.array_equal(step(g, cfg, params).states, full)
+        s = init_random(g, 0.8, params.seed)
+        block = _round_block(g.n, _block_cols(params), params.seed, 0)
+        full = _new_states(g, s, params, block)
+        assert np.array_equal(step(g, s, params, 0), full)
         rng = np.random.default_rng(99)
         for _ in range(5):
             subset = rng.random(g.n) < 0.3
             redrawn = rng.random(block.shape)
             redrawn[subset] = block[subset]
-            out = _new_states(g, cfg.states, params, redrawn)
+            out = _new_states(g, s, params, redrawn)
             assert np.array_equal(out[subset], full[subset])
 
     @pytest.mark.parametrize("mode", [EDGE, NODE])
@@ -269,36 +273,32 @@ class TestRNeighborCounts:
 
     def test_sampling_run_never_packs_the_adjacency(self):
         g = generate(GraphSpec(GraphKind.GNP, n=300, edge_prob=0.3, seed=0))
-        cfg = init_random(g, 0.8, 1)
-        run(g, cfg, kmaj(0.1, EDGE, 1, max_rounds=5))
+        s = init_random(g, 0.8, 1)
+        run(g, s, kmaj(0.1, EDGE, 1, max_rounds=5))
         assert "_bits" not in g.__dict__
-        step(g, cfg, DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.1, seed=1))
+        step(g, s, DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.1, seed=1), 0)
         assert "_bits" in g.__dict__
 
     def test_phi_stats_hand_count(self):
         g = complete(3)
-        cfg = make_configuration(g, np.array([True, True, False]))
-        assert phi_stats(g, cfg) == (0.5, 1.0)
-        all_r = make_configuration(g, np.ones(3, dtype=bool))
-        assert phi_stats(g, all_r) == (1.0, 1.0)
-        all_b = make_configuration(g, np.zeros(3, dtype=bool))
-        assert phi_stats(g, all_b) == (0.0, 0.0)
+        assert phi_stats(g, np.array([True, True, False])) == (0.5, 1.0)
+        assert phi_stats(g, np.ones(3, dtype=bool)) == (1.0, 1.0)
+        assert phi_stats(g, np.zeros(3, dtype=bool)) == (0.0, 0.0)
 
 
 class TestRun:
     def test_all_b_start_tau_zero(self):
         g = complete(40)
-        cfg = make_configuration(g, np.zeros(40, dtype=bool))
-        rec = run(g, cfg, kmaj(0.3, EDGE, 1, max_rounds=50))
+        rec = run(g, np.zeros(40, dtype=bool), kmaj(0.3, EDGE, 1, max_rounds=50))
         assert rec.tau == 0 and not rec.censored
         assert rec.trajectory == [0.0]
 
     def test_round_zero_recorded_like_later_rounds(self):
         g = complete(40)
-        all_b = make_configuration(g, np.zeros(40, dtype=bool))
+        all_b = np.zeros(40, dtype=bool)
         rec = run(g, all_b, kmaj(0.3, EDGE, 1, max_rounds=50), record_phi=True)
         assert (rec.tau, rec.trajectory, rec.phi_min, rec.phi_max) == (0, [0.0], [0.0], [0.0])
-        all_r = make_configuration(g, np.ones(40, dtype=bool))
+        all_r = np.ones(40, dtype=bool)
         rec = run(g, all_r, kmaj(0.3, EDGE, 1, max_rounds=0), record_phi=True)
         assert rec.censored and rec.tau is None
         assert (rec.trajectory, rec.phi_min, rec.phi_max) == ([1.0], [1.0], [1.0])
@@ -351,8 +351,8 @@ class TestMeanFieldAgreement:
         g = complete(5000)
         for mode, p in [(EDGE, 0.1), (NODE, 0.1), (EDGE, 0.3)]:
             params = DynamicsParams(family=Family.KMAJORITY, p=p, mode=mode, seed=17, k=3)
-            cfg = step(g, make_configuration(g, np.ones(5000, dtype=bool)), params)
-            phi_mean = float(np.mean(r_neighbor_counts(g, cfg.states) / g.degrees))
+            s = step(g, np.ones(5000, dtype=bool), params, 0)
+            phi_mean = float(np.mean(r_neighbor_counts(g, s) / g.degrees))
             want = eval_F(MeanFieldParams(3, p, mode), 1.0)
             assert abs(phi_mean - want) < 0.01, (mode, p)
 

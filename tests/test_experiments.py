@@ -106,6 +106,15 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_spec(family=Family.VOTER, k_values=(3,))
 
+    @pytest.mark.parametrize("p, regime", [
+        (0.3, "subcritical"), (0.5, "critical"), (0.7, "supercritical"),
+    ])
+    def test_det_attachment_regime(self, p, regime):
+        # deterministic majority has threshold 1/2, critical at exactly 1/2
+        spec = small_spec(family=Family.DETERMINISTIC_MAJORITY, k_values=(None,),
+                          p_values=(p,), replicas=1)
+        assert run_sweep(spec)[0].meanfield["regime"] == regime
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             small_spec(p_values=())

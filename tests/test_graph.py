@@ -612,6 +612,7 @@ class TestParseGraphSpec:
         ("gnp:n=10,p=0.5,x=1", "unknown graph parameters ['x'] in 'gnp:n=10,p=0.5,x=1'"),
         ("complete:n=5,x=1,a=2", "unknown graph parameters ['a', 'x'] in 'complete:n=5,x=1,a=2'"),
         ("complete:n=1,x=1", "unknown graph parameters ['x'] in 'complete:n=1,x=1'"),
+        ("complete:n=10,n=11", "repeated graph parameter 'n' in 'complete:n=10,n=11'"),
         ("complete:n=1", "graph needs n >= 2 nodes, got n=1"),
         ("gnp:n=10,p=0", "gnp requires edge probability in (0, 1], got 0.0"),
         ("regular:n=10,d=10", "regular graph requires 1 <= d < n, got d=10"),
@@ -619,7 +620,9 @@ class TestParseGraphSpec:
         ("file:", "file graph spec requires a path"),
     ])
     def test_rejection_messages(self, text, message):
-        # each message, and which one wins when a spec has several faults
+        # each message, and which one wins when a spec has several faults; the
+        # items are split first, so the first malformed or repeated item wins
+        # over an unknown kind and over a missing, bad or unknown parameter
         with pytest.raises(ValueError) as err:
             parse_graph_spec(text)
         assert str(err.value) == message

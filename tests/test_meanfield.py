@@ -164,6 +164,15 @@ class TestBinomTail:
         with pytest.raises(ValueError, match="nonnegative integer"):
             call()
 
+    @pytest.mark.parametrize("k, i, theta, message", [
+        (3, 1, 1.5, "theta must lie in [0, 1], got 1.5"),
+        (3, 4, 0.5, "pmf index must lie in [0, 3], got 4"),
+    ])
+    def test_pmf_rejects(self, k, i, theta, message):
+        with pytest.raises(ValueError) as err:
+            binom_pmf(k, i, theta)
+        assert str(err.value) == message
+
     def test_pmf_matches_fraction_oracle(self):
         for k, i, theta in [(3, 2, 0.6), (10, 5, 0.123), (100, 37, 0.37), (1000, 500, 0.5)]:
             assert binom_pmf(k, i, theta) == pytest.approx(pmf_fraction(k, i, theta), rel=1e-15)
