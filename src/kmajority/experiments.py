@@ -3,10 +3,9 @@
 A sweep runs ``replicas`` independent seeded simulations for every
 (k, p, q) cell of a grid, attaches the mean-field predictions (fixed-point
 regime, and critical bias values from ``meanfield``'s memo, which solves
-each p*_k once for every q) to each cell, and reduces the disruption times
-to censoring-aware summaries.  Censored runs (round cap hit with the
-R majority intact) enter medians/means at the cap value, i.e. as lower
-bounds.
+each p*_k once for every q) to each cell, and keeps every replica's
+outcome.  The summary writer reduces the disruption times to
+censoring-aware statistics.
 
 Everything is deterministic given the spec: per-replica seeds are derived
 by hashing (base_seed, cell coordinates, replica index), checked for
@@ -100,7 +99,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Replica-level outcomes and censoring-aware reductions for one cell."""
+    """The outcomes of one cell's replicas: each one's seed, disruption time
+    (None when censored) and final R fraction, with the round cap they share.
+    The statistics of a cell are derived where they are written, in
+    ``cell_to_json``."""
 
     k: int | None
     p: float
@@ -113,19 +115,11 @@ class CellSummary:
     seeds: list[int]
     taus: list[int | None]
     final_r_fractions: list[float]
-    censored_count: int
-    tau_median: float
-    tau_mean: float
-    final_r_fraction_mean: float
     meanfield: dict
 
     @property
     def replicas(self) -> int:
         return len(self.seeds)
-
-    @property
-    def censored_fraction(self) -> float:
-        return self.censored_count / len(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -239,18 +233,12 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
                 records.append(run(graph, init_random(graph, q, seed), replace(params, seed=seed)))
             except Exception as exc:
                 raise RuntimeError(f"{where}, replica {replica}: {exc}") from exc
-        max_rounds = records[0].max_rounds  # the cell's replicas share one graph, so one cap
-        taus = [r.tau for r in records]
-        finals = [r.final_r_fraction for r in records]
-        bounded = [max_rounds if t is None else t for t in taus]
         summaries.append(CellSummary(
             k=k, p=p, q=q, family=spec.family, mode=spec.mode,
-            graph_label=spec.graph_spec.label(), n=graph.n, max_rounds=max_rounds,
-            seeds=seeds, taus=taus, final_r_fractions=finals,
-            censored_count=sum(r.censored for r in records),
-            tau_median=float(np.median(bounded)),
-            tau_mean=float(np.mean(bounded)),
-            final_r_fraction_mean=float(np.mean(finals)),
+            graph_label=spec.graph_spec.label(), n=graph.n,
+            max_rounds=records[0].max_rounds,  # the cell's replicas share one graph, so one cap
+            seeds=seeds, taus=[r.tau for r in records],
+            final_r_fractions=[r.final_r_fraction for r in records],
             meanfield=meanfield,
         ))
     return summaries
@@ -318,6 +306,13 @@ def write_runs_csv(cells: list[CellSummary], path: str | Path) -> None:
 
 
 def cell_to_json(cell: CellSummary) -> dict:
+    """A cell with five statistics of its replicas: the censored count and
+    fraction, the median and mean disruption time, and the mean final R
+    fraction.  A censored run counts at the round cap in the median and the
+    mean, so both are lower bounds when any run is censored."""
+    censored = cell.taus.count(None)
+    # censored runs enter at the cap, a lower bound on their tau
+    bounded = [cell.max_rounds if t is None else t for t in cell.taus]
     return {
         "k": cell.k,
         "p": cell.p,
@@ -328,11 +323,11 @@ def cell_to_json(cell: CellSummary) -> dict:
         "n": cell.n,
         "max_rounds": cell.max_rounds,
         "replicas": cell.replicas,
-        "censored_count": cell.censored_count,
-        "censored_fraction": cell.censored_fraction,
-        "tau_median": cell.tau_median,
-        "tau_mean": cell.tau_mean,
-        "final_r_fraction_mean": cell.final_r_fraction_mean,
+        "censored_count": censored,
+        "censored_fraction": censored / cell.replicas,
+        "tau_median": float(np.median(bounded)),
+        "tau_mean": float(np.mean(bounded)),
+        "final_r_fraction_mean": float(np.mean(cell.final_r_fractions)),
         "taus": cell.taus,
         "seeds": cell.seeds,
         "meanfield": cell.meanfield,

@@ -462,6 +462,8 @@ def load_edge_list(path: str | Path) -> Graph:
             raise GraphFormatError(f"non-integer token in {tokens!r}", lineno) from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"negative node id in edge ({u}, {v})", lineno)
+        if max(u, v) >= 2**63:
+            raise GraphFormatError(f"node id {max(u, v)} does not fit in 64 bits", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at node {u}", lineno)
         edge = (min(u, v), max(u, v))

@@ -292,7 +292,13 @@ def binom_tail_geq(k: int, theta: float, m: int) -> float:
     pmf(i+1) = pmf(i) * theta/(1-theta) * (k-i)/(i+1), walking away from the
     mode so the terms only decay.  The smaller of the two tails is the one
     summed: the upper tail directly when m > k*theta, otherwise 1 minus the
-    lower tail.  Absolute error <= 1e-14 for k <= MAX_K.
+    lower tail.
+
+    No error bound is proven; the proof is open.  Measured against 60-digit
+    sums at random (theta, m) within 3/sqrt(k) of 1/2 and 2 sqrt(k) of the
+    mode, the worst absolute error was 2.5e-16 at k = 101, 5.4e-16 at
+    k = 1 001, 7.8e-16 at k = 4 001, 2.9e-15 at k = 9 999 and 3.0e-15 at
+    k = 10 000.
     """
     _check_k(k)
     if not 0.0 <= theta <= 1.0:

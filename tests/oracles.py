@@ -12,14 +12,15 @@ these tests back.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from kmajority.experiments import CellSummary, SweepSpec, run_sweep
-from kmajority.meanfield import (FixedPointSet, MeanFieldParams, Regime, _check_x, _contraction,
-                                 binom_pmf)
+from kmajority.meanfield import (BiasMode, FixedPointSet, MeanFieldParams, Regime, _check_x,
+                                 _contraction, binom_pmf)
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,57 @@ class DisruptionCurve:
 
 def disruption_curve(spec: SweepSpec) -> DisruptionCurve:
     """Sweep a single (k, q) over the p grid and locate the empirical knee:
-    the first p whose censored fraction drops below 1/2."""
+    the first p whose censored fraction drops below 1/2.
+
+    Each cell's taus are reduced here, not by the package's summary writer:
+    the median counts a censored run at the round cap, and the censored
+    fraction is the share of None."""
     if len(spec.k_values) != 1 or len(spec.q_values) != 1:
         raise ValueError("disruption_curve wants a spec restricted to one k and one q")
     cells = run_sweep(spec)
     cells_sorted = sorted(cells, key=lambda c: c.p)
-    rows = [(c.p, c.tau_median, c.censored_fraction) for c in cells_sorted]
+    rows = []
+    for c in cells_sorted:
+        bounded = [c.max_rounds if t is None else t for t in c.taus]
+        rows.append((c.p, float(statistics.median(bounded)),
+                     sum(t is None for t in c.taus) / len(c.taus)))
     knee = next((p for p, _, frac in rows if frac < 0.5), None)
     p_star_kq = cells_sorted[0].meanfield.get("p_star_kq")
     return DisruptionCurve(rows=rows, knee=knee, p_star_kq=p_star_kq, cells=cells)
+
+
+def _majority(trials: int, prob: float, size: int) -> float:
+    """P(2X > size) + P(2X = size) / 2 for X ~ Bin(trials, prob): a majority
+    of ``size`` reads, a tie counted at 1/2."""
+    pmf = np.array([binom_pmf(trials, i, prob) for i in range(trials + 1)])
+    twice = 2 * np.arange(trials + 1)
+    return float(pmf[twice > size].sum() + 0.5 * pmf[twice == size].sum())
+
+
+def one_round_r_probability(counts, degrees, k: int | None, mode: BiasMode,
+                            p: float) -> np.ndarray:
+    """P_u, the probability that node u is R after one round, from its R
+    neighbour count c_u and degree d_u; given the round's states, nodes
+    update independently.
+
+    k-majority (voter is k = 1) is a Bin(k, theta) majority: in edge mode
+    theta = (c_u/d_u)(1-p), in node mode theta = c_u/d_u and the whole is
+    times (1-p).  Deterministic majority (k None) in edge mode perceives
+    Bin(c_u, 1-p) of its d_u neighbours as R; in node mode it is
+    (1-p)([2c_u > d_u] + [2c_u = d_u]/2).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    edge = mode is BiasMode.EDGE
+    out = np.empty(counts.shape)
+    for c, d in set(zip(counts.tolist(), degrees.tolist())):
+        if k is None and edge:
+            prob = _majority(c, 1.0 - p, d)
+        elif k is None:
+            prob = (1.0 - p) * ((2 * c > d) + 0.5 * (2 * c == d))
+        elif edge:
+            prob = _majority(k, c / d * (1.0 - p), k)
+        else:
+            prob = (1.0 - p) * _majority(k, c / d, k)
+        out[(counts == c) & (degrees == d)] = prob
+    return out

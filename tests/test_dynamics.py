@@ -1,11 +1,13 @@
 """Round-engine tests: absorption, synchrony, mean-field agreement, RNG contracts."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import ks_two_sample, mann_whitney_u
+from oracles import ks_two_sample, mann_whitney_u, one_round_r_probability
 
 from kmajority.dynamics import (
     DynamicsParams,
@@ -22,7 +24,8 @@ from kmajority.dynamics import (
     run,
     step,
 )
-from kmajority.graph import Graph, GraphKind, GraphSpec, generate, load_edge_list, save_edge_list
+from kmajority.graph import (Graph, GraphKind, GraphSpec, generate, load_edge_list,
+                             parse_graph_spec, save_edge_list)
 from kmajority.meanfield import MAX_K, BiasMode, MeanFieldParams, binom_pmf, eval_F
 
 EDGE = BiasMode.EDGE
@@ -394,3 +397,53 @@ class TestMeanFieldAgreement:
             assert res.p_value < 0.01, (res, "tau should drop as p rises")
         overall = mann_whitney_u(samples[0], samples[-1])
         assert overall.p_value < 1e-6
+
+
+LAW_ROUNDS = 2000  # enough for an off-by-one neighbour pick to fail on gnp and regular
+LAW_ALPHA = 1e-6
+LAW_RULES = {"k3": (Family.KMAJORITY, 3), "k4": (Family.KMAJORITY, 4),
+             "voter": (Family.VOTER, None), "det": (Family.DETERMINISTIC_MAJORITY, None)}
+LAW_STATES = [("gnp:n=300,p=0.3", "random"),
+              # sorted rows list a node's R neighbours first
+              ("gnp:n=300,p=0.3", "lowest-180"),
+              ("regular:n=300,d=12", "random"),
+              ("complete:n=300", "random")]
+
+
+@functools.lru_cache(maxsize=None)
+def _law_graph(spec):
+    return generate(parse_graph_spec(spec))
+
+
+class TestOneRoundLaw:
+    """Given the round-t states, node u is R at t + 1 with probability P_u
+    (``oracles.one_round_r_probability``), independently of every other
+    node.  The rounds t = 0..LAW_ROUNDS-1 of ``step`` from one state are
+    independent draws of that law: a node with P_u in {0, 1} must match in
+    every round, and the R counts of the others pass a chi-square test."""
+
+    @pytest.mark.parametrize("spec, initial, rule", [
+        (spec, initial, rule) for spec, initial in LAW_STATES for rule in LAW_RULES
+        # the structured state aims at the neighbour picks, which det does not draw
+        if initial == "random" or rule != "det"
+    ])
+    @pytest.mark.parametrize("mode", [EDGE, NODE], ids=["edge", "node"])
+    def test_rounds_follow_the_law(self, spec, initial, rule, mode):
+        g = _law_graph(spec)
+        states = init_random(g, 0.6, 5) if initial == "random" else np.arange(g.n) < 180
+        family, k = LAW_RULES[rule]
+        params = DynamicsParams(family=family, p=0.2, mode=mode, seed=11, k=k)
+        counts = [int(states[g.neighbors_of(u)].sum()) for u in range(g.n)]
+        law = one_round_r_probability(counts, g.degrees, params.sample_size, mode, params.p)
+        hits = np.zeros(g.n, dtype=np.int64)
+        for t in range(LAW_ROUNDS):
+            hits += step(g, states, params, t)
+        fixed = (law == 0.0) | (law == 1.0)
+        assert np.array_equal(hits[fixed], LAW_ROUNDS * law[fixed])
+        free = ~fixed
+        df = int(free.sum())
+        assert df > 200
+        expected = LAW_ROUNDS * law[free]
+        chi2 = float(np.sum((hits[free] - expected) ** 2 / (expected * (1.0 - law[free]))))
+        p_value = float(mpmath.gammainc(df / 2, chi2 / 2, mpmath.inf, regularized=True))
+        assert p_value > LAW_ALPHA, (chi2, df, p_value)

@@ -1,6 +1,8 @@
 """Sweep harness, mean-field comparison, and disruption-curve tests."""
 
+import csv
 import json
+import statistics
 
 import pytest
 
@@ -44,12 +46,10 @@ class TestRunSweep:
         assert len(cells) == 2
         slow = next(c for c in cells if c.p == 0.05)
         fast = next(c for c in cells if c.p == 0.16)
-        assert slow.censored_count == slow.replicas
-        assert fast.censored_count == 0
+        assert slow.taus.count(None) == slow.replicas
+        assert fast.taus.count(None) == 0
         assert slow.meanfield["regime"] == "subcritical"
         assert fast.meanfield["regime"] == "supercritical"
-        for cell in cells:
-            assert cell.censored_count + sum(t is not None for t in cell.taus) == cell.replicas
 
     def test_determinism_and_byte_identical_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -95,6 +95,35 @@ class TestRunSweep:
         assert doc["spec"]["graph"] == "complete:n=400"
         cell = doc["cells"][0]
         assert {"tau_median", "censored_count", "meanfield"} <= set(cell)
+
+    def test_summary_statistics_reduce_the_csv_rows(self, tmp_path):
+        # each cell's five statistics in summary.json, recomputed here from
+        # that cell's rows of runs.csv; the cells are fully censored, mixed
+        # and uncensored
+        spec = small_spec(graph_spec=GraphSpec(GraphKind.COMPLETE, n=200),
+                          p_values=(0.05, 0.12, 0.16), replicas=4, max_rounds=30)
+        cells = run_sweep(spec)
+        write_runs_csv(cells, tmp_path / "runs.csv")
+        write_summary_json(spec, cells, tmp_path / "summary.json")
+        with open(tmp_path / "runs.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        summary = json.loads((tmp_path / "summary.json").read_text())["cells"]
+        censored_counts = []
+        for cell in summary:
+            mine = [r for r in rows if float(r["p"]) == cell["p"]]
+            assert len(mine) == cell["replicas"] == 4
+            censored = sum(r["censored"] == "true" for r in mine)
+            taus = [int(r["tau"]) for r in mine]  # a censored row holds the cap
+            finals = [float(r["final_r_fraction"]) for r in mine]
+            assert cell["censored_count"] == censored
+            assert cell["censored_fraction"] == censored / len(mine)
+            assert cell["tau_median"] == statistics.median(taus)
+            assert cell["tau_mean"] == statistics.fmean(taus)
+            # numpy and fmean may round the float sum differently
+            assert cell["final_r_fraction_mean"] == pytest.approx(statistics.fmean(finals),
+                                                                  rel=1e-15, abs=0)
+            censored_counts.append(censored)
+        assert censored_counts == [4, 1, 0]
 
     def test_voter_and_det_k_validation(self):
         with pytest.raises(ValueError):

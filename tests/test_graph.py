@@ -197,6 +197,8 @@ class TestEdgeListIO:
             ("0 1 2\n", 1),
             ("# n=2\n0 1\n1 2\n", 3),
             ("0 -1\n", 1),
+            # an id past int64 used to escape as an OverflowError
+            (f"0 1\n1 {10**20 - 1}\n", 2),
         ],
     )
     def test_malformed_reports_line(self, tmp_path, content, line):
