@@ -173,12 +173,20 @@ def _binom_cdf_table(n: int, prob: float) -> np.ndarray:
 
 def _binomial_icdf(counts: np.ndarray, prob: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF binomial draws, one uniform per entry, vectorized by
-    grouping equal trial counts (one group per distinct R-neighbor count)."""
-    out = np.empty(counts.shape, dtype=np.int64)
-    for c in np.unique(counts):
-        table = _binom_cdf_table(int(c), prob)
-        mask = counts == c
-        out[mask] = np.searchsorted(table, u[mask], side="right")
+    grouping equal trial counts.  One stable sort of the counts lays each
+    group (one per distinct R-neighbor count) out as a contiguous slice,
+    each slice is looked up in its count's table with one ``searchsorted``,
+    and one scatter puts the draws back in node order."""
+    order = np.argsort(counts, kind="stable")
+    ordered = counts[order]
+    values, starts = np.unique(ordered, return_index=True)
+    stops = [*starts[1:].tolist(), len(ordered)]
+    ordered_u = u[order]
+    drawn = np.empty(counts.shape, dtype=np.int64)
+    for c, lo, hi in zip(values.tolist(), starts.tolist(), stops):
+        drawn[lo:hi] = np.searchsorted(_binom_cdf_table(c, prob), ordered_u[lo:hi], side="right")
+    out = np.empty_like(drawn)
+    out[order] = drawn
     return out
 
 

@@ -10,15 +10,18 @@ neighbors only through ``sample_neighbors`` and ``r_neighbor_counts``.  A
 complete graph answers both by arithmetic.  A CSR graph samples from its
 rows, and counts either from a packed bit matrix of its adjacency (dense
 graphs on numpy >= 2.0, see ``Graph._bits``) or by scattering its minority
-colour's rows.  A K_n read from an edge-list file keeps the CSR storage.
+colour's rows.  A dense G(n, p) has that matrix from its build; any other
+CSR graph packs it on its first count.  A K_n read from an edge-list file
+keeps the CSR storage.
 Every constructed graph is validated: its builder makes it simple and
 symmetric, and ``Graph`` itself rejects a node of degree 0 (the update rule
 samples neighbors, so isolated nodes are a hard error).
 
 A CSR graph is built by one of two routes, with the same bytes either way.
 A dense G(n, p) (``_gnp_dense``: p at least about 1/4, see ``_generate_gnp``)
-draws its rows into an n x n bool adjacency and reads the CSR rows off it;
-that matrix takes no more bytes than the neighbor array it expects.  Every
+draws its rows into an n x n bool adjacency and reads the CSR rows and the
+bit matrix off it; that bool matrix takes no more bytes than the neighbor
+array it expects, and the bit matrix about an eighth of them.  Every
 other CSR graph (sparse G(n, p), random regular, edge-list file) reaches
 ``_build_from_keys`` as an integer array of distinct edge keys ``u*n + v``
 with u < v.  Sorted keys are sorted (u, v) pairs, so one integer sort lays
@@ -177,9 +180,10 @@ class Graph:
     @cached_property
     def _bits(self) -> np.ndarray | None:
         """The adjacency as ``_pack_rows`` lays it out, or None where numpy
-        has no ``bitwise_count`` (numpy < 2.0) or the matrix would take more
-        bytes than ``neighbors`` (mean degree below about n/32).  Built on
-        the first R count that reads it."""
+        has no ``bitwise_count`` (numpy < 2.0).  A dense G(n, p) gets it from
+        its bool matrix at build (``_gnp_dense``).  Any other graph packs it
+        on the first R count that reads it, and only where it takes no more
+        bytes than ``neighbors`` (mean degree at least about n/32)."""
         n = self.n
         if not hasattr(np, "bitwise_count") or n * _words(n) * 8 > self.neighbors.nbytes:
             return None
@@ -189,10 +193,10 @@ class Graph:
         """Number of R (True) neighbors of every node, as int64.
 
         Where ``_bits`` exists, each row is ANDed with the packed states and
-        its set bits are counted (``_bit_counts``): O(n²/64) word operations
-        and about 1.1 × ``_bits.nbytes`` of scratch, with ``_bits`` itself at
-        most ``neighbors.nbytes``.  The packing, on the first count, holds at
-        most ``_BLOCK_ROWS`` dense rows and their entries' indices at a time.
+        its set bits are counted (``_bit_counts``): O(n²/64) word operations,
+        ``_BLOCK_ROWS`` rows at a time, so the scratch is one strip and not
+        a copy of the matrix.  Packing on a first count holds at most
+        ``_BLOCK_ROWS`` dense rows and their entries' indices at a time.
         Elsewhere the minority colour's rows are scattered
         (``_scatter_counts``).  Both counts are exact.
         """
@@ -200,9 +204,11 @@ class Graph:
         return _scatter_counts(self, states) if bits is None else _bit_counts(bits, states)
 
 
-# rows per step of the dense-row loops: a chunk of _pack_rows holds
-# _BLOCK_ROWS dense rows of bools and one int64 index per adjacency entry of
-# those rows; _gnp_dense mirrors its matrix in strips of _BLOCK_ROWS rows
+# rows per step of the dense-row loops: a strip of _BLOCK_ROWS rows of bools,
+# or of packed words, fits in a core's cache.  _gnp_dense mirrors and packs
+# its matrix a strip at a time, _pack_rows packs from that many dense rows
+# (and an int64 index per adjacency entry of them), and _bit_counts ANDs and
+# counts that many rows of words at a time
 _BLOCK_ROWS = 128
 
 
@@ -211,35 +217,56 @@ def _words(n: int) -> int:
     return (n + 63) // 64
 
 
+def _pack_strip(bits: np.ndarray, start: int, rows: np.ndarray) -> None:
+    """Pack the bool rows ``rows`` (n columns each) into rows start, start+1,
+    ... of ``bits``, which must be zeroed: the bits past n stay clear."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    bits.view(np.uint8)[start : start + len(rows), : packed.shape[1]] = packed
+
+
 def _pack_rows(graph: Graph) -> np.ndarray:
     """The adjacency as n rows of ``_words(n)`` uint64 words: bit v of row u
     (``np.packbits`` order, little within each byte) is set iff v is a
     neighbor of u, and the bits past n are clear.
 
     The rows are packed ``_BLOCK_ROWS`` at a time from a dense bool block.
-    ``_bit_counts`` packs the states in the same byte order, so a row and
-    the states line up bit for bit on either byte order of the machine.
+    ``_bit_counts`` packs the states with the same ``_pack_strip``, so a row
+    and the states line up bit for bit on either byte order of the machine.
     """
-    n, width = graph.n, _words(graph.n) * 64
-    bits = np.empty((n, width // 64), dtype=np.uint64)
+    n = graph.n
+    bits = np.zeros((n, _words(n)), dtype=np.uint64)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        entries = np.repeat(np.arange(stop - start) * width, graph.degrees[start:stop])
+        entries = np.repeat(np.arange(stop - start) * n, graph.degrees[start:stop])
         entries += graph.neighbors[graph.offsets[start] : graph.offsets[stop]]
-        dense = np.zeros((stop - start) * width, dtype=bool)
+        dense = np.zeros((stop - start) * n, dtype=bool)
         dense[entries] = True
-        bits[start:stop] = np.packbits(
-            dense.reshape(stop - start, width), axis=1, bitorder="little").view(np.uint64)
+        _pack_strip(bits, start, dense.reshape(stop - start, n))
     return bits
 
 
 def _bit_counts(bits: np.ndarray, states: np.ndarray) -> np.ndarray:
     """R neighbors of every node from the packed adjacency of ``_pack_rows``:
-    the popcount of each row ANDed with the packed states."""
-    word = np.zeros(bits.shape[1] * 8, dtype=np.uint8)
-    packed = np.packbits(states, bitorder="little")
-    word[: packed.size] = packed
-    return np.bitwise_count(bits & word.view(np.uint64)).sum(axis=1, dtype=np.int64)
+    the popcount of each row ANDed with the packed states.
+
+    ``_BLOCK_ROWS`` rows at a time go through one reused strip of words and
+    one of their popcounts.  The popcounts are float32 so that a product
+    with ones sums each row; it is exact, as every partial sum is an integer
+    below n, and n < 2^24 for any matrix that fits in memory.
+    """
+    n, width = bits.shape
+    word = np.zeros((1, width), dtype=np.uint64)
+    _pack_strip(word, 0, states[None])
+    anded = np.empty((min(_BLOCK_ROWS, n), width), dtype=np.uint64)
+    popcounts = np.empty(anded.shape, dtype=np.float32)
+    unit = np.ones(width, dtype=np.float32)
+    counts = np.empty(n, dtype=np.float32)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - start)
+        np.bitwise_and(bits[start : start + rows], word, out=anded[:rows])
+        np.bitwise_count(anded[:rows], out=popcounts[:rows])
+        np.matmul(popcounts[:rows], unit, out=counts[start : start + rows])
+    return counts.astype(np.int64)
 
 
 def _scatter_counts(graph: Graph, states: np.ndarray) -> np.ndarray:
@@ -366,22 +393,33 @@ def _gnp_keys(n: int, edge_prob: float, seed: int) -> Graph:
 def _gnp_dense(n: int, edge_prob: float, seed: int) -> Graph:
     """G(n, p) read off its n x n bool adjacency: row u's draws fill the
     upper part of row u, the upper triangle is mirrored, and each row's
-    nonzero columns, in order, are its CSR row.  Besides the matrix and the
-    CSR arrays it holds one row's indices at a time."""
+    nonzero columns, in order, are its CSR row.  Where numpy has
+    ``bitwise_count``, each finished strip of rows is also packed into the
+    graph's ``_bits``, so its R counts never pack from the CSR arrays.
+    Besides the matrix, the bits and the CSR arrays it holds one row's
+    indices at a time."""
     adjacency = np.zeros((n, n), dtype=bool)
     for u, row in _gnp_draws(n, seed):
         np.less(row, edge_prob, out=adjacency[u, u + 1:])
+    bits = np.zeros((n, _words(n)), dtype=np.uint64) if hasattr(np, "bitwise_count") else None
     # mirrored a strip at a time: one whole-matrix transpose strides across
-    # all of it, about 9x slower at n = 5000
+    # all of it, about 9x slower at n = 5000.  The strip's rows are then
+    # whole: earlier strips mirrored their columns left of it
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         adjacency[start:, start:stop] |= adjacency[start:stop, start:].T
+        if bits is not None:
+            _pack_strip(bits, start, adjacency[start:stop])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(adjacency, axis=1), out=offsets[1:])
     neighbors = np.empty(offsets[-1], dtype=np.int32)
     for u, row in enumerate(adjacency):
         neighbors[offsets[u] : offsets[u + 1]] = row.nonzero()[0]
-    return Graph(neighbors=neighbors, offsets=offsets)
+    graph = Graph(neighbors=neighbors, offsets=offsets)
+    if bits is not None:
+        # set where the cached_property would cache it
+        object.__setattr__(graph, "_bits", bits)
+    return graph
 
 
 def _generate_random_regular(n: int, d: int, seed: int) -> Graph:

@@ -258,6 +258,21 @@ class TestBinomialSampler:
         out = _binomial_icdf(counts, 0.6, u)
         assert np.all(out >= 0) and np.all(out <= counts)
 
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_icdf_equals_per_entry_lookup(self, prob, seed):
+        # unsorted counts: one large group, zeros, singletons and small groups
+        rng = np.random.default_rng(seed)
+        counts = np.concatenate([np.full(400, 57), np.zeros(30, dtype=np.int64),
+                                 rng.choice(np.arange(100, 1000), 25, replace=False),
+                                 rng.integers(1, 40, size=200)])
+        rng.shuffle(counts)
+        u = rng.random(counts.size)
+        expected = [np.searchsorted(_binom_cdf_table(int(c), prob), x, side="right")
+                    for c, x in zip(counts, u)]
+        out = _binomial_icdf(counts, prob, u)
+        assert out.dtype == np.int64 and out.tolist() == expected
+
 
 class TestRNeighborCounts:
     def test_complete_shortcut_matches_generic(self, tmp_path):
@@ -274,8 +289,15 @@ class TestRNeighborCounts:
         generic = np.add.reduceat(states[loaded.neighbors], loaded.offsets[:-1], dtype=np.int64)
         assert np.array_equal(fast, generic)
 
-    def test_sampling_run_never_packs_the_adjacency(self):
-        g = generate(GraphSpec(GraphKind.GNP, n=300, edge_prob=0.3, seed=0))
+    # dense graphs that pack on first count: a dense G(n, p) is generated
+    # with its bits, but one read back from a file is built from edge keys
+    @pytest.mark.parametrize("spec", ["regular:n=300,d=40", "file:gnp:n=300,p=0.3"])
+    def test_sampling_run_never_packs_the_adjacency(self, tmp_path, spec):
+        if spec.startswith("file:"):
+            save_edge_list(generate(parse_graph_spec(spec[5:], seed=0)), tmp_path / "g.edges")
+            g = load_edge_list(tmp_path / "g.edges")
+        else:
+            g = generate(parse_graph_spec(spec, seed=0))
         s = init_random(g, 0.8, 1)
         run(g, s, kmaj(0.1, EDGE, 1, max_rounds=5))
         assert "_bits" not in g.__dict__

@@ -10,6 +10,7 @@ import pytest
 from conftest import edges
 
 from kmajority import graph as graph_module
+from kmajority.cli import main
 from kmajority.graph import (
     Graph,
     GraphConstructionError,
@@ -421,11 +422,12 @@ class TestRNeighborCounts:
 
     @pytest.mark.parametrize("b_fraction", [0.05, 0.5, 0.95])
     def test_peak_memory_below_two_neighbor_arrays(self, b_fraction):
-        # a gather of all 2m entries cast to int64 peaks at 17.18 MiB on this
+        # gnp:n=2000,p=0.5 at seed 101001, built from its edge keys: a
+        # gather of all 2m entries cast to int64 peaks at 17.18 MiB on this
         # graph.  The first count packs _bits, so its window holds the
         # packing and the kept matrix (at most neighbors.nbytes); the minority
         # scatter needs at most 1.5x neighbors.nbytes
-        graph = generate(parse_graph_spec("gnp:n=2000,p=0.5", seed=101001))
+        graph = _gnp_keys(2000, 0.5, 101001)
         states = np.ones(graph.n, dtype=bool)
         rng = np.random.default_rng(0)
         states[rng.choice(graph.n, round(b_fraction * graph.n), replace=False)] = False
@@ -438,13 +440,29 @@ class TestRNeighborCounts:
                 tracemalloc.stop()
             assert peak <= 2 * graph.neighbors.nbytes
 
+    @needs_popcount
+    def test_bit_counts_scratch_is_one_strip(self):
+        # a count over the whole matrix at once held two matrix-sized
+        # temporaries, 1.13x _bits.nbytes (579 530 bytes) here
+        graph = generate(parse_graph_spec("gnp:n=2000,p=0.5", seed=101001))
+        states = np.random.default_rng(0).random(graph.n) < 0.5
+        tracemalloc.start()
+        try:
+            _bit_counts(graph._bits, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= graph._bits.nbytes // 4
+
+    # graphs built from edge keys, or read from a file, pack on first count
     @pytest.mark.parametrize("source", [
-        "gnp:n=2000,p=0.5", "gnp:n=300,p=0.3", "regular:n=300,d=40", "regular:n=2000,d=10",
-        "regular:n=64,d=2", "regular:n=64,d=1", "gnp:n=2,p=1", "star_path"])
+        "file:gnp:n=300,p=0.3", "gnp:n=2000,p=0.1", "regular:n=300,d=40",
+        "regular:n=2000,d=10", "regular:n=64,d=2", "regular:n=64,d=1", "star_path"])
     def test_bits_exactly_where_popcount_exists_and_no_larger_than_neighbors(
             self, tmp_path, source):
         # regular:n=64,d=2 has a matrix of exactly neighbors.nbytes, d=1 twice
-        # that; regular:n=2000,d=10 and the star-path are sparse
+        # that; regular:n=2000,d=10 and the star-path are sparse;
+        # gnp:n=2000,p=0.1 takes the edge-key route
         graph = _count_graph(tmp_path, source)
         matrix_bytes = graph.n * ((graph.n + 63) // 64) * 8
         assert "_bits" not in graph.__dict__
@@ -455,6 +473,57 @@ class TestRNeighborCounts:
         if built:
             assert graph._bits.nbytes == matrix_bytes
             assert np.array_equal(graph._bits, _pack_rows(graph))
+
+    # n = 2, 63, 64, 65 end a row at every position relative to a 64-bit word
+    @needs_popcount
+    @pytest.mark.parametrize("source", [
+        "gnp:n=2,p=1", "gnp:n=63,p=0.3", "gnp:n=64,p=0.3", "gnp:n=65,p=0.3",
+        "gnp:n=300,p=0.3", "gnp:n=2000,p=0.5"])
+    def test_dense_gnp_holds_its_bits_from_build(self, count_calls, source):
+        # packed from the bool matrix, word for word what _pack_rows packs
+        # from the CSR arrays, the clear bits past n included
+        calls = count_calls(graph_module, "_gnp_dense")
+        graph = generate(parse_graph_spec(source, seed=0))
+        assert len(calls) == 1 and "_bits" in graph.__dict__
+        expected = _pack_rows(graph)
+        assert graph._bits.dtype == expected.dtype and graph._bits.shape == expected.shape
+        assert graph._bits.tobytes() == expected.tobytes()
+
+
+class TestWithoutPopcount:
+    """numpy < 2.0 has no bitwise_count: every CSR graph counts by scatter."""
+
+    def test_dense_gnp_holds_no_bits_and_counts_by_scatter(self, monkeypatch, count_calls):
+        spec = parse_graph_spec("gnp:n=300,p=0.3", seed=0)
+        states = np.random.default_rng(1).random(300) < 0.6
+        expected = generate(spec).r_neighbor_counts(states)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        scatters = count_calls(graph_module, "_scatter_counts")
+        graph = generate(spec)
+        assert "_bits" not in graph.__dict__ and graph._bits is None
+        assert np.array_equal(graph.r_neighbor_counts(states), expected)
+        assert len(scatters) == 1
+
+    @pytest.mark.parametrize("argv", [
+        "--family det --p 0.25 --max-rounds 20",
+        "--k 3 --p 0.1 --max-rounds 8 --phi-detail --trace {trace}"])
+    def test_simulate_prints_the_same_bytes(self, monkeypatch, count_calls, capsys,
+                                            tmp_path, argv):
+        trace = tmp_path / "trace.csv"  # the JSON names it
+
+        def simulate():
+            args = ["simulate", "--graph", "gnp:n=300,p=0.3", "--q", "0.7", "--seed", "3",
+                    *argv.format(trace=trace).split()]
+            assert main(args) == 0
+            return capsys.readouterr().out, trace.read_bytes() if trace.exists() else None
+
+        bit_counts = count_calls(graph_module, "_bit_counts")
+        with_popcount = simulate()
+        assert bit_counts or not hasattr(np, "bitwise_count")
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        scatters = count_calls(graph_module, "_scatter_counts")
+        assert simulate() == with_popcount
+        assert scatters
 
 
 class TestEdgeKeyWidth:
