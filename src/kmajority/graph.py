@@ -1,4 +1,4 @@
-"""Undirected simple graphs for the dynamics: generation, file I/O, density checks.
+"""Undirected simple graphs for the dynamics: generation and file I/O.
 
 A ``Graph`` stores its adjacency in a flat CSR-like layout
 (``neighbors``/``offsets``) and nothing else: its size, degrees and volume
@@ -31,7 +31,7 @@ out the rows.  The builder sorts them in the narrowest type that holds n*n
 
 from __future__ import annotations
 
-import math
+import codecs
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -46,12 +46,10 @@ __all__ = [
     "GraphSpec",
     "Graph",
     "CompleteGraph",
-    "DensityReport",
     "GraphFormatError",
     "generate",
     "load_edge_list",
     "save_edge_list",
-    "density_report",
     "parse_graph_spec",
 ]
 
@@ -471,15 +469,18 @@ _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
 def load_edge_list(path: str | Path) -> Graph:
     """Read a whitespace-separated edge list (one undirected edge per line,
-    0-indexed, listed once).  '#' lines are comments; an optional '# n=<N>'
-    header pins the node count.  Violations, bytes that are not UTF-8
-    included, are reported with line numbers.
+    0-indexed, listed once).  A line whose first non-blank character is '#'
+    is a comment; an optional '# n=<N>' header pins the node count.  One
+    leading UTF-8 byte-order mark is skipped.  Violations, bytes that are not
+    UTF-8 included, are reported with line numbers.
     """
     declared_n: int | None = None
     seen: dict[tuple[int, int], int] = {}  # edge (u < v) -> line, in file order
     # bytes.splitlines ends lines where text mode's universal newlines do, and
-    # decoding line by line pins a bad byte to its own line
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    # decoding line by line pins a bad byte to its own line; a byte-order
+    # mark, which Windows editors write, is not part of line 1
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
@@ -534,29 +535,6 @@ def save_edge_list(graph: Graph, path: str | Path) -> None:
         for u in range(graph.n):
             row = graph.neighbors_of(u)
             fh.writelines(f"{u} {v}\n" for v in row[row > u].tolist())
-
-
-# ---------------------------------------------------------------------------
-# Density diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Degree summary against the dense-graph working assumption.
-
-    ``warning`` is set when min_degree < 4 ln(n) — a fixed-n proxy for the
-    superlogarithmic minimum degree the theory asks for; it flags runs on
-    graphs where the mean-field predictions should not be trusted.
-    """
-
-    min_degree: int
-    warning: bool
-
-
-def density_report(graph: Graph) -> DensityReport:
-    dmin = int(graph.degrees.min())
-    return DensityReport(min_degree=dmin, warning=dmin < 4.0 * math.log(graph.n))
 
 
 # ---------------------------------------------------------------------------

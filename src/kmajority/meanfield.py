@@ -151,14 +151,11 @@ class FixedPointSet:
 
 @dataclass(frozen=True)
 class CriticalValues:
-    """Critical bias thresholds for a given sample size."""
+    """Critical bias thresholds for a given sample size: p*_k, and p*_{k,q}
+    when an initial majority level q was given (else None)."""
 
-    # field order is the key order of the `critical` command's JSON document
-    k: int
-    q: float | None
     p_star_k: float
     p_star_kq: float | None
-    tolerance: float
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +661,7 @@ def _critical_values(k: int, q: float | None, tol: float) -> CriticalValues:
             return regime is not Regime.SUPERCRITICAL
 
         p_star = _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
-        return CriticalValues(k=k, q=None, p_star_k=p_star, p_star_kq=None, tolerance=tol)
+        return CriticalValues(p_star_k=p_star, p_star_kq=None)
     p_star = _critical_values(k, None, tol).p_star_k
 
     def phi_minus_within_q(p: float) -> bool:
@@ -679,7 +676,7 @@ def _critical_values(k: int, q: float | None, tol: float) -> CriticalValues:
         p_star_kq = p_star
     else:
         p_star_kq = _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
-    return CriticalValues(k=k, q=q, p_star_k=p_star, p_star_kq=p_star_kq, tolerance=tol)
+    return CriticalValues(p_star_k=p_star, p_star_kq=p_star_kq)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,22 @@ class TestSimulateCommand:
         assert (code, out, len(runs)) == (2, "", 0)
         assert f"degree {MAX_K + 1}" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("graph, min_degree, warning", [
+        ("complete:n=100", 99, False),
+        ("file:{path}", 1, True),  # degree 1 < 4 ln 3
+        ("regular:n=100,d=10", 10, True),
+        # 4 ln 100 = 18.42 lies between degrees 18 and 19
+        ("regular:n=100,d=18", 18, True),
+        ("regular:n=100,d=19", 19, False),
+    ])
+    def test_density_fields(self, capsys, tmp_path, graph, min_degree, warning):
+        path = tmp_path / "p.edges"
+        path.write_text("0 1\n1 2\n")
+        doc = run_json(capsys, "simulate", "--graph", graph.format(path=path), "--k", "3",
+                       "--p", "0.1", "--seed", "1", "--max-rounds", "1")
+        assert (doc["graph"]["min_degree"], doc["graph"]["density_warning"]) == (
+            min_degree, warning)
+
 
 class TestCompareCommand:
     def test_subcritical_pass(self, capsys):
@@ -260,6 +276,14 @@ class TestCompareCommand:
         doc = run_json(capsys, "compare", "--graph", "complete:n=2000", "--k", "3",
                        "--p", "0.3", "--rounds", "0", "--seed", "3")
         assert doc["pass"] is True
+
+    def test_gamma_zero(self, capsys):
+        # from q0 = 1 every node's R-neighbour fraction is q_0 = 1 at round 0
+        doc = run_json(capsys, "compare", "--graph", "complete:n=200", "--k", "3",
+                       "--p", "0.05", "--rounds", "5", "--gamma", "0", "--seed", "3")
+        assert doc["deviations"][0] == 0.0 and doc["rounds_passed"][0] is True
+        assert doc["pass"] is False
+        assert doc["rounds_passed"] == [d <= 0 for d in doc["deviations"]]
 
 
 class TestGraphgenCommand:
@@ -457,6 +481,19 @@ class TestSweepCommand:
         run_json(capsys, "sweep", "--config", str(cfg))
         cells = json.loads((tmp_path / "results" / "summary.json").read_text())["cells"]
         assert cells[-1]["p"] == 1.0
+
+    def test_one_step_range_needs_min_equal_to_max(self, capsys, tmp_path):
+        # {"min": 0.05, "max": 0.2, "steps": 1} ran the grid [0.05] alone
+        small = dict(graph="complete:n=20", replicas=1, max_rounds=1)
+        cfg = self.config(tmp_path, **small, p_grid={"min": 0.05, "max": 0.2, "steps": 1})
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "/p_grid/steps" in json.loads(err)["error"]
+        assert not (tmp_path / "results").exists()
+        cfg = self.config(tmp_path, **small, p_grid={"min": 0.05, "max": 0.05, "steps": 1})
+        run_json(capsys, "sweep", "--config", str(cfg))
+        cells = json.loads((tmp_path / "results" / "summary.json").read_text())["cells"]
+        assert [cell["p"] for cell in cells] == [0.05]
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         cfg = self.config(tmp_path)

@@ -1,5 +1,6 @@
-"""Graph construction, edge-list I/O, and density diagnostics."""
+"""Graph construction and edge-list I/O."""
 
+import codecs
 import hashlib
 import math
 import tracemalloc
@@ -24,7 +25,6 @@ from kmajority.graph import (
     _key_dtype,
     _pack_rows,
     _scatter_counts,
-    density_report,
     generate,
     load_edge_list,
     parse_graph_spec,
@@ -230,6 +230,24 @@ class TestEdgeListIO:
         path.write_bytes(b"0 1\r1 2\r\n\n2 0\n")
         g = load_edge_list(path)
         assert (g.n, g.edge_count) == (3, 3)
+
+    @pytest.mark.parametrize("text", ["# n=3\n0 1\n1 2\n", "0 1\n1 2\n"],
+                             ids=["header", "no-header"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # a leading BOM, which Windows editors write, used to make line 1 a
+        # non-integer token in ['\ufeff#', 'n=3']
+        plain, marked = tmp_path / "plain.edges", tmp_path / "bom.edges"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert _csr_digests(load_edge_list(marked)) == _csr_digests(load_edge_list(plain))
+
+    def test_trailing_comment_is_an_error(self, tmp_path):
+        # only a line whose first non-blank character is '#' is a comment
+        path = tmp_path / "c.edges"
+        path.write_text("0 1\n  # indented comment\n1 2  # x\n")
+        with pytest.raises(GraphFormatError) as err:
+            load_edge_list(path)
+        assert err.value.line == 3
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.edges"
@@ -619,25 +637,6 @@ class TestDenseGnp:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * graph.neighbors.nbytes
-
-
-class TestDensityReport:
-    def test_complete_100(self):
-        g = generate(GraphSpec(GraphKind.COMPLETE, n=100))
-        rep = density_report(g)
-        assert rep.min_degree == 99
-        assert not rep.warning
-
-    def test_path_graph_warns(self, tmp_path):
-        path = tmp_path / "p.edges"
-        path.write_text("0 1\n1 2\n")
-        rep = density_report(load_edge_list(path))
-        assert rep.warning  # degree 1 < 4 ln 3
-
-    def test_regular(self):
-        g = generate(GraphSpec(GraphKind.RANDOM_REGULAR, n=100, degree=10, seed=1))
-        rep = density_report(g)
-        assert rep.min_degree == 10
 
 
 class TestParseGraphSpec:
