@@ -55,6 +55,7 @@ from kmajority.meanfield import (
     DEFAULT_TOL,
     BiasMode,
     MeanFieldParams,
+    Regime,
     check_solver_args,
     critical_bias_k,
     critical_bias_kq,
@@ -140,9 +141,12 @@ def _cmd_meanfield(args):
            "tolerance": args.tol}
     if solve:
         fp = fixed_points(params, tol=args.tol)
+        # the distinct roots of F(x) = x, ascending (phi- = phi+ when critical)
+        roots = {Regime.SUPERCRITICAL: [0.0], Regime.CRITICAL: [0.0, fp.phi_plus],
+                 Regime.SUBCRITICAL: [0.0, fp.phi_minus, fp.phi_plus]}[fp.regime]
         doc.update({
             "regime": fp.regime.value,
-            "roots": fp.roots(),
+            "roots": roots,
             "phi_minus": fp.phi_minus,
             "phi_plus": fp.phi_plus,
             "mu": fp.mu,
@@ -365,13 +369,13 @@ def _cmd_sweep(args):
     cells = run_sweep(spec)  # only the checks of its plan raise ValueError
     yield
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_runs_csv(cells, runs_path)
+    write_runs_csv(spec, cells, runs_path)
     write_summary_json(spec, cells, summary_path)
     yield {
         "schema": 1,
         "out": str(out_dir),
         "cells": len(cells),
-        "runs": sum(c.replicas for c in cells),
+        "runs": len(cells) * spec.replicas,
         "runs_csv": str(runs_path),
         "summary_json": str(summary_path),
     }

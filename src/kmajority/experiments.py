@@ -92,33 +92,24 @@ class SweepSpec:
         for k, p in itertools.product(self.k_values, self.p_values):
             DynamicsParams(self.family, p, self.mode, k=k, max_rounds=self.max_rounds)
 
-    def cells(self) -> list[tuple[int | None, float, float]]:
-        return list(itertools.product(self.k_values, self.p_values, self.q_values))
-
 
 @dataclass(frozen=True)
 class CellSummary:
     """The outcomes of one cell's replicas: each one's seed, disruption time
     (None when censored) and final R fraction, with the round cap they share.
-    The statistics of a cell are derived where they are written, in
-    ``cell_to_json``."""
+    The values every cell of a sweep shares (family, mode, graph, replica
+    count) are its spec's; the writers read them there, and derive a cell's
+    statistics in ``cell_to_json``."""
 
     k: int | None
     p: float
     q: float
-    family: Family
-    mode: BiasMode
-    graph_label: str
     n: int
     max_rounds: int
     seeds: list[int]
     taus: list[int | None]
     final_r_fractions: list[float]
     meanfield: dict
-
-    @property
-    def replicas(self) -> int:
-        return len(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -147,8 +138,10 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
     equivalence).  Voter has no phase transition: supercritical for every
     p > 0.  2-majority with uniform tie-breaking follows the voter law
     (P(R) = x^2 + x(1-x) = x), so k = 2 takes the voter attachment.
-    Deterministic majority has threshold 1/2.  p*_{k,q} is defined for an
-    initial majority q > 1/2 only; cells with q <= 1/2 carry None.
+    Deterministic majority has threshold 1/2.  For every q, deterministic
+    cells carry p*_k = p*_{k,q} = 1/2, and voter cells and cells with k <= 2
+    carry 0.0 for both.  For k-majority with k >= 3, p*_{k,q} is defined for
+    an initial majority q > 1/2 only, and cells with q <= 1/2 carry None.
     """
     if family is Family.DETERMINISTIC_MAJORITY:
         if p < 0.5:
@@ -203,7 +196,8 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
     shared = generate(spec.graph_spec) if spec.share_graph else None
     all_seeds: set[int] = set()
     plans = []
-    for cell_index, (k, p, q) in enumerate(spec.cells()):
+    grid = itertools.product(spec.k_values, spec.p_values, spec.q_values)
+    for cell_index, (k, p, q) in enumerate(grid):
         where = f"cell (k={k}, p={p}, q={q})"
         try:
             graph = shared if shared is not None else _cell_graph(spec, cell_index)
@@ -231,8 +225,7 @@ def run_sweep(spec: SweepSpec) -> list[CellSummary]:
             except Exception as exc:
                 raise RuntimeError(f"{where}, replica {replica}: {exc}") from exc
         summaries.append(CellSummary(
-            k=k, p=p, q=q, family=spec.family, mode=spec.mode,
-            graph_label=spec.graph_spec.label(), n=graph.n,
+            k=k, p=p, q=q, n=graph.n,
             max_rounds=records[0].max_rounds,  # the cell's replicas share one graph, so one cap
             seeds=seeds, taus=[r.tau for r in records],
             final_r_fractions=[r.final_r_fraction for r in records],
@@ -272,12 +265,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_runs_csv(cells: list[CellSummary], path: str | Path) -> None:
+def write_runs_csv(spec: SweepSpec, cells: list[CellSummary], path: str | Path) -> None:
     """One row per replica, fixed column order, 17-significant-digit floats.
 
     Censored rows carry the round cap in the tau column (a lower bound) with
     censored=true.
     """
+    graph = spec.graph_spec.label()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -287,9 +281,9 @@ def write_runs_csv(cells: list[CellSummary], path: str | Path) -> None:
                     "" if cell.k is None else cell.k,
                     _fmt(cell.p),
                     _fmt(cell.q),
-                    cell.mode.value,
-                    cell.family.value,
-                    cell.graph_label,
+                    spec.mode.value,
+                    spec.family.value,
+                    graph,
                     cell.n,
                     seed,
                     cell.max_rounds if tau is None else tau,
@@ -298,11 +292,13 @@ def write_runs_csv(cells: list[CellSummary], path: str | Path) -> None:
                 ])
 
 
-def cell_to_json(cell: CellSummary) -> dict:
-    """A cell with five statistics of its replicas: the censored count and
-    fraction, the median and mean disruption time, and the mean final R
-    fraction.  A censored run counts at the round cap in the median and the
-    mean, so both are lower bounds when any run is censored."""
+def cell_to_json(spec: SweepSpec, cell: CellSummary, *, graph: str | None = None) -> dict:
+    """A cell of the sweep ``spec`` with five statistics of its replicas:
+    the censored count and fraction, the median and mean disruption time,
+    and the mean final R fraction.  A censored run counts at the round cap
+    in the median and the mean, so both are lower bounds when any run is
+    censored.  ``graph`` is the spec's graph label, when the caller has
+    made it already."""
     censored = cell.taus.count(None)
     # censored runs enter at the cap, a lower bound on their tau
     bounded = [cell.max_rounds if t is None else t for t in cell.taus]
@@ -310,14 +306,14 @@ def cell_to_json(cell: CellSummary) -> dict:
         "k": cell.k,
         "p": cell.p,
         "q": cell.q,
-        "family": cell.family.value,
-        "mode": cell.mode.value,
-        "graph": cell.graph_label,
+        "family": spec.family.value,
+        "mode": spec.mode.value,
+        "graph": spec.graph_spec.label() if graph is None else graph,
         "n": cell.n,
         "max_rounds": cell.max_rounds,
-        "replicas": cell.replicas,
+        "replicas": spec.replicas,
         "censored_count": censored,
-        "censored_fraction": censored / cell.replicas,
+        "censored_fraction": censored / spec.replicas,
         "tau_median": float(np.median(bounded)),
         "tau_mean": float(np.mean(bounded)),
         "final_r_fraction_mean": float(np.mean(cell.final_r_fractions)),
@@ -328,10 +324,11 @@ def cell_to_json(cell: CellSummary) -> dict:
 
 
 def write_summary_json(spec: SweepSpec, cells: list[CellSummary], path: str | Path) -> None:
+    graph = spec.graph_spec.label()
     doc = {
         "schema": 1,
         "spec": {
-            "graph": spec.graph_spec.label(),
+            "graph": graph,
             "family": spec.family.value,
             "mode": spec.mode.value,
             "k": list(spec.k_values),
@@ -342,7 +339,7 @@ def write_summary_json(spec: SweepSpec, cells: list[CellSummary], path: str | Pa
             "base_seed": spec.base_seed,
             "share_graph": spec.share_graph,
         },
-        "cells": [cell_to_json(c) for c in cells],
+        "cells": [cell_to_json(spec, c, graph=graph) for c in cells],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

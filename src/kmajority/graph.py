@@ -65,10 +65,13 @@ class GraphKind(Enum):
 
 # The 'kind:key=value,...' spec grammar of every generated kind, read by both
 # parse_graph_spec and GraphSpec.label: (key, GraphSpec field, parser, printer).
-# Integers print with str: ':g' would print n=1000000 as 1e+06.
+# Integers print with str: ':g' would print n=1000000 as 1e+06.  Floats print
+# with repr, which reads back as the same float, where ':g' keeps six digits;
+# float() first, as numpy 2 writes repr(np.float64(0.5)) as 'np.float64(0.5)'.
 _SPEC_ROWS = {
     GraphKind.COMPLETE: (("n", "n", int, str),),
-    GraphKind.GNP: (("n", "n", int, str), ("p", "edge_prob", float, "{:g}".format)),
+    GraphKind.GNP: (("n", "n", int, str),
+                    ("p", "edge_prob", float, lambda p: repr(float(p)).removesuffix(".0"))),
     GraphKind.RANDOM_REGULAR: (("n", "n", int, str), ("d", "degree", int, str)),
 }
 

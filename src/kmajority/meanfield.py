@@ -129,24 +129,15 @@ class FixedPointSet:
 
     0 is always a root.  ``phi_minus``/``phi_plus`` are the unstable/stable
     nontrivial roots when they exist; in the critical regime they coincide.
-    ``mu`` is the tangency abscissa with F'(mu) = 1, reported whenever the
-    solver located it.
+    ``mu`` is the tangency abscissa with F'(mu) = 1 in the critical and
+    subcritical regimes.  All three are None when supercritical, even where
+    the solver located a tangency point.
     """
 
     regime: Regime
     phi_minus: float | None
     phi_plus: float | None
     mu: float | None
-
-    def nontrivial_roots(self) -> list[float]:
-        if self.regime is Regime.SUPERCRITICAL:
-            return []
-        if self.regime is Regime.CRITICAL:
-            return [self.phi_plus]
-        return [self.phi_minus, self.phi_plus]
-
-    def roots(self) -> list[float]:
-        return [0.0] + self.nontrivial_roots()
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def test_criterion_01_critical_bias_and_fixed_points_k3():
 
     fp9 = fixed_points(MeanFieldParams(3, 1 / 9, EDGE))
     cf9 = closed_form_k3(1 / 9)
-    for root in fp9.nontrivial_roots() + cf9.nontrivial_roots():
+    for root in (fp9.phi_minus, fp9.phi_plus, cf9.phi_minus, cf9.phi_plus):
         assert abs(root - 27 / 32) <= 1e-9
     elapsed = time.time() - t0
     assert elapsed < 1.0

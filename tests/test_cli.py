@@ -7,7 +7,7 @@ import pytest
 
 from kmajority import cli, experiments, meanfield
 from kmajority.cli import main
-from kmajority.graph import load_edge_list
+from kmajority.graph import load_edge_list, parse_graph_spec
 from kmajority.meanfield import MAX_K
 
 
@@ -37,6 +37,22 @@ class TestMeanfieldCommand:
         doc = run_json(capsys, "meanfield", "--k", "3", "--p", "0.3")
         assert doc["regime"] == "supercritical"
         assert doc["roots"] == [0.0]
+
+    @pytest.mark.parametrize("mode, tangency", [("edge", 27 / 32), ("node", 3 / 4)])
+    def test_roots_in_every_regime(self, capsys, mode, tangency):
+        # roots lists the distinct fixed points in ascending order: 0 alone,
+        # 0 and the tangency point, or 0, phi- and phi+
+        args = ("meanfield", "--k", "3", "--mode", mode, "--p")
+        doc = run_json(capsys, *args, "0.3")
+        assert (doc["regime"], doc["roots"]) == ("supercritical", [0.0])
+        doc = run_json(capsys, *args, "0.1111111111111111")
+        assert doc["regime"] == "critical"
+        assert doc["roots"] == [0.0, doc["phi_plus"]]
+        assert doc["phi_minus"] == doc["phi_plus"] == doc["mu"]
+        assert abs(doc["mu"] - tangency) < 1e-9
+        doc = run_json(capsys, *args, "0.05")
+        assert doc["regime"] == "subcritical"
+        assert doc["roots"] == [0.0, doc["phi_minus"], doc["phi_plus"]]
 
     def test_node_mode_phi_plus(self, capsys):
         doc = run_json(capsys, "meanfield", "--k", "3", "--p", "0.05", "--mode", "node")
@@ -114,6 +130,14 @@ class TestSimulateCommand:
         assert doc["censored"] is True
         assert doc["final_r_fraction"] == 1.0
         assert doc["params"]["max_rounds"] == 262  # 10 ln 500 + 200
+
+    def test_graph_spec_parses_back(self, capsys):
+        # the label kept six significant digits of p: gnp:n=50,p=0.123457
+        text = "gnp:n=50,p=0.123456789"
+        doc = run_json(capsys, "simulate", "--graph", text, "--k", "3", "--p", "0.05",
+                       "--max-rounds", "3")
+        assert doc["graph"]["spec"] == text
+        assert parse_graph_spec(doc["graph"]["spec"]) == parse_graph_spec(text)
 
     def test_det_fast_disruption(self, capsys):
         doc = run_json(capsys, "simulate", "--graph", "complete:n=500",

@@ -42,19 +42,21 @@ def small_spec(**overrides):
 
 class TestRunSweep:
     def test_cell_structure_and_regimes(self):
-        cells = run_sweep(small_spec())
+        spec = small_spec()
+        cells = run_sweep(spec)
         assert len(cells) == 2
         slow = next(c for c in cells if c.p == 0.05)
         fast = next(c for c in cells if c.p == 0.16)
-        assert slow.taus.count(None) == slow.replicas
+        assert slow.taus.count(None) == spec.replicas
         assert fast.taus.count(None) == 0
         assert slow.meanfield["regime"] == "subcritical"
         assert fast.meanfield["regime"] == "supercritical"
 
     def test_determinism_and_byte_identical_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_runs_csv(run_sweep(small_spec()), a)
-        write_runs_csv(run_sweep(small_spec()), b)
+        spec = small_spec()
+        write_runs_csv(spec, run_sweep(spec), a)
+        write_runs_csv(spec, run_sweep(spec), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_seeds_pairwise_distinct(self):
@@ -64,8 +66,8 @@ class TestRunSweep:
 
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "runs.csv"
-        cells = run_sweep(small_spec(replicas=2))
-        write_runs_csv(cells, path)
+        spec = small_spec(replicas=2)
+        write_runs_csv(spec, run_sweep(spec), path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         first = lines[1].split(",")
@@ -78,10 +80,10 @@ class TestRunSweep:
         assert censored_rows and all(r[8] == "120" for r in censored_rows)
 
     def test_meanfield_attachment_consistency(self):
-        cells = run_sweep(small_spec(p_values=(0.05,), k_values=(3, 4), replicas=2))
-        for cell in cells:
+        spec = small_spec(p_values=(0.05,), k_values=(3, 4), replicas=2)
+        for cell in run_sweep(spec):
             k_odd = cell.k if cell.k % 2 == 1 else cell.k - 1
-            fp = fixed_points(MeanFieldParams(k_odd, cell.p, cell.mode))
+            fp = fixed_points(MeanFieldParams(k_odd, cell.p, spec.mode))
             assert cell.meanfield["regime"] == fp.regime.value
             assert cell.meanfield["phi_plus"] == pytest.approx(fp.phi_plus, abs=1e-12)
 
@@ -103,7 +105,7 @@ class TestRunSweep:
         spec = small_spec(graph_spec=GraphSpec(GraphKind.COMPLETE, n=200),
                           p_values=(0.05, 0.12, 0.16), replicas=4, max_rounds=30)
         cells = run_sweep(spec)
-        write_runs_csv(cells, tmp_path / "runs.csv")
+        write_runs_csv(spec, cells, tmp_path / "runs.csv")
         write_summary_json(spec, cells, tmp_path / "summary.json")
         with open(tmp_path / "runs.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))

@@ -715,9 +715,18 @@ class TestParseGraphSpec:
     @pytest.mark.parametrize("text, label", [
         ("gnp:n=10,p=0.30", "gnp:n=10,p=0.3"),
         ("gnp:n=10,p=1e-05", "gnp:n=10,p=1e-05"),
+        ("gnp:n=10,p=1", "gnp:n=10,p=1"),
         ("complete:n=1000000", "complete:n=1000000"),
         ("GNP: n = 10 , p = 0.5", "gnp:n=10,p=0.5"),
         ("file:a,b=c", "file:a,b=c"),
     ])
     def test_label_pins(self, text, label):
         assert parse_graph_spec(text).label() == label
+
+    @pytest.mark.parametrize("edge_prob", [0.123456789, 1 / 3, np.float64(0.123456789)],
+                             ids=["nine-digits", "one-third", "np.float64"])
+    def test_label_parses_back_to_its_spec(self, edge_prob):
+        # p printed with six significant digits: 0.123456789 was labelled
+        # p=0.123457, which names a different graph
+        spec = GraphSpec(GraphKind.GNP, n=50, edge_prob=edge_prob)
+        assert parse_graph_spec(spec.label()) == spec

@@ -508,7 +508,7 @@ class TestFixedPoints:
     def test_critical_point_k3(self):
         fp = fixed_points(MeanFieldParams(3, 1 / 9, EDGE))
         assert fp.regime in (Regime.CRITICAL, Regime.SUBCRITICAL)
-        for root in fp.nontrivial_roots():
+        for root in (fp.phi_minus, fp.phi_plus):
             assert root == pytest.approx(27 / 32, abs=1e-9)
 
     def test_p_zero(self):
@@ -531,7 +531,7 @@ class TestFixedPoints:
             assert node.phi_plus == pytest.approx((1 - p) * edge.phi_plus, abs=1e-12)
             # independent residual check: the scaled points really are fixed
             params = MeanFieldParams(k, p, NODE)
-            for root in node.nontrivial_roots():
+            for root in (node.phi_minus, node.phi_plus):
                 assert eval_F(params, root) == pytest.approx(root, abs=1e-9)
             assert 0.5 < node.phi_minus <= 1 - p + 1e-12
 
@@ -540,7 +540,7 @@ class TestFixedPoints:
             params = MeanFieldParams(k, p, EDGE)
             fp = fixed_points(params, tol=1e-10)
             lo = 0.5 / (1.0 - p)
-            for root in fp.nontrivial_roots():
+            for root in (fp.phi_minus, fp.phi_plus):
                 assert abs(eval_F(params, root) - root) <= 1e-10
                 assert lo < root <= 1.0
 
