@@ -292,13 +292,12 @@ def write_runs_csv(spec: SweepSpec, cells: list[CellSummary], path: str | Path) 
                 ])
 
 
-def cell_to_json(spec: SweepSpec, cell: CellSummary, *, graph: str | None = None) -> dict:
-    """A cell of the sweep ``spec`` with five statistics of its replicas:
-    the censored count and fraction, the median and mean disruption time,
-    and the mean final R fraction.  A censored run counts at the round cap
-    in the median and the mean, so both are lower bounds when any run is
-    censored.  ``graph`` is the spec's graph label, when the caller has
-    made it already."""
+def cell_to_json(spec: SweepSpec, cell: CellSummary, graph: str) -> dict:
+    """A cell of the sweep ``spec`` on the graph labelled ``graph`` with five
+    statistics of its replicas: the censored count and fraction, the median
+    and mean disruption time, and the mean final R fraction.  A censored run
+    counts at the round cap in the median and the mean, so both are lower
+    bounds when any run is censored."""
     censored = cell.taus.count(None)
     # censored runs enter at the cap, a lower bound on their tau
     bounded = [cell.max_rounds if t is None else t for t in cell.taus]
@@ -308,7 +307,7 @@ def cell_to_json(spec: SweepSpec, cell: CellSummary, *, graph: str | None = None
         "q": cell.q,
         "family": spec.family.value,
         "mode": spec.mode.value,
-        "graph": spec.graph_spec.label() if graph is None else graph,
+        "graph": graph,
         "n": cell.n,
         "max_rounds": cell.max_rounds,
         "replicas": spec.replicas,
@@ -339,7 +338,7 @@ def write_summary_json(spec: SweepSpec, cells: list[CellSummary], path: str | Pa
             "base_seed": spec.base_seed,
             "share_graph": spec.share_graph,
         },
-        "cells": [cell_to_json(spec, c, graph=graph) for c in cells],
+        "cells": [cell_to_json(spec, c, graph) for c in cells],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

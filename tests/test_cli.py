@@ -37,14 +37,14 @@ class TestMeanfieldCommand:
         doc = run_json(capsys, "meanfield", "--k", "3", "--p", "0.3")
         assert doc["regime"] == "supercritical"
         assert doc["roots"] == [0.0]
+        doc = run_json(capsys, "meanfield", "--k", "3", "--p", "0.3", "--mode", "node")
+        assert (doc["regime"], doc["roots"]) == ("supercritical", [0.0])
 
     @pytest.mark.parametrize("mode, tangency", [("edge", 27 / 32), ("node", 3 / 4)])
-    def test_roots_in_every_regime(self, capsys, mode, tangency):
-        # roots lists the distinct fixed points in ascending order: 0 alone,
-        # 0 and the tangency point, or 0, phi- and phi+
+    def test_roots_below_threshold(self, capsys, mode, tangency):
+        # roots lists the distinct fixed points in ascending order: 0 and the
+        # tangency point, or 0, phi- and phi+
         args = ("meanfield", "--k", "3", "--mode", mode, "--p")
-        doc = run_json(capsys, *args, "0.3")
-        assert (doc["regime"], doc["roots"]) == ("supercritical", [0.0])
         doc = run_json(capsys, *args, "0.1111111111111111")
         assert doc["regime"] == "critical"
         assert doc["roots"] == [0.0, doc["phi_plus"]]
