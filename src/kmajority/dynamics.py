@@ -197,7 +197,7 @@ def _binomial_icdf(counts: np.ndarray, prob: float, u: np.ndarray) -> np.ndarray
 
 def r_neighbor_counts(graph: Graph, states: np.ndarray) -> np.ndarray:
     """Number of R neighbors of every node."""
-    return graph.r_neighbor_counts(states)
+    return graph.r_neighbor_counts(_checked(graph, states))
 
 
 def _checked(graph: Graph, states: np.ndarray) -> np.ndarray:
@@ -210,7 +210,7 @@ def _checked(graph: Graph, states: np.ndarray) -> np.ndarray:
 
 def phi_stats(graph: Graph, states: np.ndarray) -> tuple[float, float]:
     """(min, max) over nodes of the R-neighbor fraction."""
-    phi = r_neighbor_counts(graph, _checked(graph, states)) / graph.degrees
+    phi = r_neighbor_counts(graph, states) / graph.degrees
     return float(phi.min()), float(phi.max())
 
 

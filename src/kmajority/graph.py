@@ -9,9 +9,9 @@ when something reads it.  The round engine reaches
 neighbors only through ``sample_neighbors`` and ``r_neighbor_counts``.  A
 complete graph answers both by arithmetic.  A CSR graph samples from its
 rows, and counts either from a packed bit matrix of its adjacency (dense
-graphs on numpy >= 2.0, see ``Graph._bits``) or by scattering its minority
-colour's rows.  A dense G(n, p) has that matrix from its build; any other
-CSR graph packs it on its first count.  A K_n read from an edge-list file
+graphs, see ``Graph._bits``) or by scattering its minority colour's rows.
+A dense G(n, p) has that matrix from its build; any other CSR graph packs
+it on its first count.  A K_n read from an edge-list file
 keeps the CSR storage.
 Every constructed graph is validated: its builder makes it simple and
 symmetric, and ``Graph`` itself rejects a node of degree 0 (the update rule
@@ -180,15 +180,15 @@ class Graph:
 
     @cached_property
     def _bits(self) -> np.ndarray | None:
-        """The adjacency as ``_pack_rows`` lays it out, or None where numpy
-        has no ``bitwise_count`` (numpy < 2.0).  A dense G(n, p) gets it from
-        its bool matrix at build (``_gnp_dense``).  Any other graph packs it
-        on the first R count that reads it, and only where it takes no more
-        bytes than ``neighbors`` (mean degree at least about n/32)."""
+        """The adjacency as ``_pack_rows`` lays it out, or None where it
+        would take more bytes than ``neighbors`` (mean degree below about
+        n/32).  A dense G(n, p) gets it from its bool matrix at build
+        (``_gnp_dense``), where it takes at most about an eighth of the
+        bytes of ``neighbors``, and more only on a few nodes (16 bytes
+        against 8 at n = 2).  Any other graph packs it on the first R count
+        that reads it."""
         n = self.n
-        if not hasattr(np, "bitwise_count") or n * _words(n) * 8 > self.neighbors.nbytes:
-            return None
-        return _pack_rows(self)
+        return None if n * _words(n) * 8 > self.neighbors.nbytes else _pack_rows(self)
 
     def r_neighbor_counts(self, states: np.ndarray) -> np.ndarray:
         """Number of R (True) neighbors of every node, as int64.
@@ -394,32 +394,29 @@ def _gnp_keys(n: int, edge_prob: float, seed: int) -> Graph:
 def _gnp_dense(n: int, edge_prob: float, seed: int) -> Graph:
     """G(n, p) read off its n x n bool adjacency: row u's draws fill the
     upper part of row u, the upper triangle is mirrored, and each row's
-    nonzero columns, in order, are its CSR row.  Where numpy has
-    ``bitwise_count``, each finished strip of rows is also packed into the
-    graph's ``_bits``, so its R counts never pack from the CSR arrays.
-    Besides the matrix, the bits and the CSR arrays it holds one row's
-    indices at a time."""
+    nonzero columns, in order, are its CSR row.  Each finished strip of
+    rows is also packed into the graph's ``_bits``, so its R counts never
+    pack from the CSR arrays.  Besides the matrix, the bits and the CSR
+    arrays it holds one row's indices at a time."""
     adjacency = np.zeros((n, n), dtype=bool)
     for u, row in _gnp_draws(n, seed):
         np.less(row, edge_prob, out=adjacency[u, u + 1:])
-    bits = np.zeros((n, _words(n)), dtype=np.uint64) if hasattr(np, "bitwise_count") else None
+    bits = np.zeros((n, _words(n)), dtype=np.uint64)
     # mirrored a strip at a time: one whole-matrix transpose strides across
     # all of it, about 9x slower at n = 5000.  The strip's rows are then
     # whole: earlier strips mirrored their columns left of it
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         adjacency[start:, start:stop] |= adjacency[start:stop, start:].T
-        if bits is not None:
-            _pack_strip(bits, start, adjacency[start:stop])
+        _pack_strip(bits, start, adjacency[start:stop])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(adjacency, axis=1), out=offsets[1:])
     neighbors = np.empty(offsets[-1], dtype=np.int32)
     for u, row in enumerate(adjacency):
         neighbors[offsets[u] : offsets[u + 1]] = row.nonzero()[0]
     graph = Graph(neighbors=neighbors, offsets=offsets)
-    if bits is not None:
-        # set where the cached_property would cache it
-        object.__setattr__(graph, "_bits", bits)
+    # set where the cached_property would cache it
+    object.__setattr__(graph, "_bits", bits)
     return graph
 
 

@@ -264,6 +264,7 @@ def _pmf_exact(k: int, i: int, theta: float) -> float:
 def binom_pmf(k: int, i: int, theta: float) -> float:
     """P(Bin(k, theta) = i), exact to double precision."""
     _check_k(k)
+    _check_index("pmf index i", i)
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     if not 0 <= i <= k:
@@ -289,6 +290,7 @@ def binom_tail_geq(k: int, theta: float, m: int) -> float:
     k = 10 000.
     """
     _check_k(k)
+    _check_index("tail threshold m", m)
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     if m < 0:
@@ -334,6 +336,13 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the supported cap {MAX_K}")
+
+
+def _check_index(name: str, value: int) -> None:
+    # type(...) is int, as in _check_k: True would run as 1, and a float
+    # would reach math.comb
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_x(x: float) -> None:

@@ -101,13 +101,15 @@ class TestInputChecks:
         (lambda g: step(g, np.ones((5, 1), dtype=bool), kmaj(0.1), 0),
          "states must have shape (5,), got (5, 1)"),
         (lambda g: phi_stats(g, [True] * 6), "states must have shape (5,), got (6,)"),
+        (lambda g: r_neighbor_counts(g, [True] * 6), "states must have shape (5,), got (6,)"),
         (lambda g: DynamicsParams(family="kmaj", p=0.1, k=3),
          "family must be a Family, got 'kmaj'"),
         (lambda g: DynamicsParams(family=Family.VOTER, p=0.1, mode="edge"),
          "mode must be a BiasMode, got 'edge'"),
         (lambda g: MeanFieldParams(3, 0.1, "node"), "mode must be a BiasMode, got 'node'"),
     ], ids=["init_random q", "run states", "step states", "phi_stats states",
-            "DynamicsParams family", "DynamicsParams mode", "MeanFieldParams mode"])
+            "r_neighbor_counts states", "DynamicsParams family", "DynamicsParams mode",
+            "MeanFieldParams mode"])
     def test_rejects(self, call, message):
         with pytest.raises(ValueError) as err:
             call(complete(5))
@@ -303,6 +305,15 @@ class TestRNeighborCounts:
         assert "_bits" not in g.__dict__
         step(g, s, DynamicsParams(family=Family.DETERMINISTIC_MAJORITY, p=0.1, seed=1), 0)
         assert "_bits" in g.__dict__
+
+    def test_int_states_count_as_bool(self):
+        # a sparse graph counts by scatter, whose ~ takes 0/1 ints to -1/-2:
+        # unchecked, every count of the int states read 10 here
+        g = generate(parse_graph_spec("regular:n=2000,d=10", seed=1))
+        s = np.random.default_rng(0).random(g.n) < 0.7
+        counts = r_neighbor_counts(g, s)
+        assert counts[:8].tolist() == [5, 7, 5, 8, 8, 10, 7, 8]
+        assert np.array_equal(r_neighbor_counts(g, s.astype(np.int64)), counts)
 
     def test_phi_stats_hand_count(self):
         g = complete(3)

@@ -378,11 +378,6 @@ def _count_states(graph):
     }
 
 
-# numpy 1.x has no bitwise_count, so every CSR graph there counts by scatter
-needs_popcount = pytest.mark.skipif(not hasattr(np, "bitwise_count"),
-                                    reason="numpy < 2.0 has no bitwise_count")
-
-
 def _count_graph(tmp_path, source):
     """A graph named by a spec, or 'star_path', or 'file:' + a spec whose
     graph goes through an edge-list file and back."""
@@ -402,8 +397,7 @@ class TestRNeighborCounts:
         "gnp:n=300,p=0.3", "regular:n=300,d=40", "star_path"])
     @pytest.mark.parametrize("name", ["all_R", "all_B", "R_minority", "B_minority",
                                       "half_volume"])
-    @pytest.mark.parametrize("path", ["r_neighbor_counts", "scatter",
-                                      pytest.param("bits", marks=needs_popcount)])
+    @pytest.mark.parametrize("path", ["r_neighbor_counts", "scatter", "bits"])
     def test_against_dense_oracle(self, tmp_path, source, name, path):
         graph = _count_graph(tmp_path, source)
         adjacency = np.zeros((graph.n, graph.n), dtype=bool)
@@ -458,7 +452,6 @@ class TestRNeighborCounts:
                 tracemalloc.stop()
             assert peak <= 2 * graph.neighbors.nbytes
 
-    @needs_popcount
     def test_bit_counts_scratch_is_one_strip(self):
         # a count over the whole matrix at once held two matrix-sized
         # temporaries, 1.13x _bits.nbytes (579 530 bytes) here
@@ -476,8 +469,7 @@ class TestRNeighborCounts:
     @pytest.mark.parametrize("source", [
         "file:gnp:n=300,p=0.3", "gnp:n=2000,p=0.1", "regular:n=300,d=40",
         "regular:n=2000,d=10", "regular:n=64,d=2", "regular:n=64,d=1", "star_path"])
-    def test_bits_exactly_where_popcount_exists_and_no_larger_than_neighbors(
-            self, tmp_path, source):
+    def test_bits_exactly_where_no_larger_than_neighbors(self, tmp_path, source):
         # regular:n=64,d=2 has a matrix of exactly neighbors.nbytes, d=1 twice
         # that; regular:n=2000,d=10 and the star-path are sparse;
         # gnp:n=2000,p=0.1 takes the edge-key route
@@ -485,7 +477,7 @@ class TestRNeighborCounts:
         matrix_bytes = graph.n * ((graph.n + 63) // 64) * 8
         assert "_bits" not in graph.__dict__
         built = graph._bits is not None
-        assert built == (hasattr(np, "bitwise_count") and matrix_bytes <= graph.neighbors.nbytes)
+        assert built == (matrix_bytes <= graph.neighbors.nbytes)
         if source in ("regular:n=2000,d=10", "star_path"):
             assert not built
         if built:
@@ -493,7 +485,6 @@ class TestRNeighborCounts:
             assert np.array_equal(graph._bits, _pack_rows(graph))
 
     # n = 2, 63, 64, 65 end a row at every position relative to a 64-bit word
-    @needs_popcount
     @pytest.mark.parametrize("source", [
         "gnp:n=2,p=1", "gnp:n=63,p=0.3", "gnp:n=64,p=0.3", "gnp:n=65,p=0.3",
         "gnp:n=300,p=0.3", "gnp:n=2000,p=0.5"])
@@ -507,21 +498,8 @@ class TestRNeighborCounts:
         assert graph._bits.dtype == expected.dtype and graph._bits.shape == expected.shape
         assert graph._bits.tobytes() == expected.tobytes()
 
-
-class TestWithoutPopcount:
-    """numpy < 2.0 has no bitwise_count: every CSR graph counts by scatter."""
-
-    def test_dense_gnp_holds_no_bits_and_counts_by_scatter(self, monkeypatch, count_calls):
-        spec = parse_graph_spec("gnp:n=300,p=0.3", seed=0)
-        states = np.random.default_rng(1).random(300) < 0.6
-        expected = generate(spec).r_neighbor_counts(states)
-        monkeypatch.delattr(np, "bitwise_count", raising=False)
-        scatters = count_calls(graph_module, "_scatter_counts")
-        graph = generate(spec)
-        assert "_bits" not in graph.__dict__ and graph._bits is None
-        assert np.array_equal(graph.r_neighbor_counts(states), expected)
-        assert len(scatters) == 1
-
+    # the engine's counts on a dense graph come from its bits; forced onto
+    # the minority scatter, a run must print the same bytes
     @pytest.mark.parametrize("argv", [
         "--family det --p 0.25 --max-rounds 20",
         "--k 3 --p 0.1 --max-rounds 8 --phi-detail --trace {trace}"])
@@ -536,12 +514,12 @@ class TestWithoutPopcount:
             return capsys.readouterr().out, trace.read_bytes() if trace.exists() else None
 
         bit_counts = count_calls(graph_module, "_bit_counts")
-        with_popcount = simulate()
-        assert bit_counts or not hasattr(np, "bitwise_count")
-        monkeypatch.delattr(np, "bitwise_count", raising=False)
-        scatters = count_calls(graph_module, "_scatter_counts")
-        assert simulate() == with_popcount
-        assert scatters
+        by_bits = simulate()
+        assert bit_counts
+        monkeypatch.setattr(Graph, "r_neighbor_counts", _scatter_counts)
+        calls = len(bit_counts)
+        assert simulate() == by_bits
+        assert len(bit_counts) == calls
 
 
 class TestEdgeKeyWidth:

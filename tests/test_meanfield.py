@@ -156,13 +156,22 @@ class TestBinomTail:
         with pytest.raises(ValueError):
             binom_tail_geq(MAX_K + 1, 0.5, 1)
 
-    @pytest.mark.parametrize("call", [lambda: binom_pmf(True, 1, 0.5),
-                                      lambda: binom_tail_geq(True, 0.5, 1)],
-                             ids=["binom_pmf", "binom_tail_geq"])
-    def test_k_takes_no_bool(self, call):
-        # k=True used to pass isinstance(k, int) and return 0.5, run as k=1
-        with pytest.raises(ValueError, match="nonnegative integer"):
+    @pytest.mark.parametrize("call, message", [
+        (lambda: binom_pmf(True, 1, 0.5), "k must be a nonnegative integer, got True"),
+        (lambda: binom_tail_geq(True, 0.5, 1), "k must be a nonnegative integer, got True"),
+        (lambda: binom_pmf(5, 2.5, 0.3), "pmf index i must be an integer, got 2.5"),
+        (lambda: binom_pmf(5, True, 0.3), "pmf index i must be an integer, got True"),
+        (lambda: binom_tail_geq(5, 0.3, 3.0), "tail threshold m must be an integer, got 3.0"),
+        (lambda: binom_tail_geq(5, 0.3, True), "tail threshold m must be an integer, got True"),
+    ], ids=["binom_pmf", "binom_tail_geq", "pmf float i", "pmf bool i", "tail float m",
+            "tail bool m"])
+    def test_integer_arguments_take_no_float_or_bool(self, call, message):
+        # k=True used to pass isinstance(k, int) and return 0.5, run as k=1;
+        # a float index escaped as a TypeError from math.comb, and i=True
+        # ran as i=1
+        with pytest.raises(ValueError) as err:
             call()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("k, i, theta, message", [
         (3, 1, 1.5, "theta must lie in [0, 1], got 1.5"),
