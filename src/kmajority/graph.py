@@ -19,9 +19,9 @@ samples neighbors, so isolated nodes are a hard error).
 
 A CSR graph is built by one of two routes, with the same bytes either way.
 A dense G(n, p) (``_gnp_dense``: p at least about 1/4, see ``_generate_gnp``)
-draws its rows into an n x n bool adjacency and reads the CSR rows and the
-bit matrix off it; that bool matrix takes no more bytes than the neighbor
-array it expects, and the bit matrix about an eighth of them.  Every
+draws its rows straight into the packed bit matrix, a strip of rows at a
+time, and reads the CSR rows off it; the bit matrix takes about an eighth
+of the bytes of the neighbor array it expects.  Every
 other CSR graph (sparse G(n, p), random regular, edge-list file) reaches
 ``_build_from_keys`` as an integer array of distinct edge keys ``u*n + v``
 with u < v.  Sorted keys are sorted (u, v) pairs, so one integer sort lays
@@ -32,6 +32,7 @@ out the rows.  The builder sorts them in the narrowest type that holds n*n
 from __future__ import annotations
 
 import codecs
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -182,11 +183,10 @@ class Graph:
     def _bits(self) -> np.ndarray | None:
         """The adjacency as ``_pack_rows`` lays it out, or None where it
         would take more bytes than ``neighbors`` (mean degree below about
-        n/32).  A dense G(n, p) gets it from its bool matrix at build
-        (``_gnp_dense``), where it takes at most about an eighth of the
-        bytes of ``neighbors``, and more only on a few nodes (16 bytes
-        against 8 at n = 2).  Any other graph packs it on the first R count
-        that reads it."""
+        n/32).  A dense G(n, p) is built into it (``_gnp_dense``), where it
+        takes at most about an eighth of the bytes of ``neighbors``, and
+        more only on a few nodes (16 bytes against 8 at n = 2).  Any other
+        graph packs it on the first R count that reads it."""
         n = self.n
         return None if n * _words(n) * 8 > self.neighbors.nbytes else _pack_rows(self)
 
@@ -206,10 +206,12 @@ class Graph:
 
 
 # rows per step of the dense-row loops: a strip of _BLOCK_ROWS rows of bools,
-# or of packed words, fits in a core's cache.  _gnp_dense mirrors and packs
-# its matrix a strip at a time, _pack_rows packs from that many dense rows
-# (and an int64 index per adjacency entry of them), and _bit_counts ANDs and
-# counts that many rows of words at a time
+# or of packed words, fits in a core's cache.  _gnp_dense draws, mirrors and
+# packs a strip of bool rows at a time and unpacks its CSR rows as many,
+# _pack_rows packs from that many dense rows (and an int64 index per
+# adjacency entry of them), and _bit_counts ANDs and counts that many rows
+# of words at a time.  A multiple of 8, so a strip's columns are whole bytes
+# of the packed rows
 _BLOCK_ROWS = 128
 
 
@@ -359,12 +361,13 @@ def _generate_gnp(n: int, edge_prob: float, seed: int) -> Graph:
     row u's draw is below p (``_gnp_draws``).
 
     Both routes read the same draws and build the same bytes.  The dense
-    route runs when its n x n bool matrix takes at most the bytes of the
-    int32 neighbor array it expects, 4·p·n(n-1), i.e. p >= n / (4(n-1)),
-    about 1/4; its peak memory is about the matrix plus ``neighbors``, so
-    at most about twice the expected ``neighbors.nbytes`` (1.6x at p = 1/2).
-    Sparser specs build from edge keys, peaking at about 2.0-2.3x
-    ``neighbors.nbytes``.
+    route runs for p >= n / (4(n-1)), about 1/4; sparser specs build from
+    edge keys.  Its work on the packed matrix does not shrink with p, where
+    the keys' does.  At n = 2000 and p = 0.2, 0.25 and 0.3 the dense route
+    built in 21-36 ms at a traced peak of 1.33x, 1.26x and 1.22x
+    ``neighbors.nbytes``, and the key route in 29-53 ms at 2.01x: above
+    the switch the dense route is lighter and faster, and at p = 0.2 it is
+    still lighter and no slower, so the switch errs on neither side.
     """
     dense = n * n <= 4 * edge_prob * n * (n - 1)
     return (_gnp_dense if dense else _gnp_keys)(n, edge_prob, seed)
@@ -392,28 +395,46 @@ def _gnp_keys(n: int, edge_prob: float, seed: int) -> Graph:
 
 
 def _gnp_dense(n: int, edge_prob: float, seed: int) -> Graph:
-    """G(n, p) read off its n x n bool adjacency: row u's draws fill the
-    upper part of row u, the upper triangle is mirrored, and each row's
-    nonzero columns, in order, are its CSR row.  Each finished strip of
-    rows is also packed into the graph's ``_bits``, so its R counts never
-    pack from the CSR arrays.  Besides the matrix, the bits and the CSR
-    arrays it holds one row's indices at a time."""
-    adjacency = np.zeros((n, n), dtype=bool)
-    for u, row in _gnp_draws(n, seed):
-        np.less(row, edge_prob, out=adjacency[u, u + 1:])
+    """G(n, p) built into its packed adjacency ``_bits`` and read off it,
+    ``_BLOCK_ROWS`` rows at a time, with no n x n bool matrix.
+
+    Pass 1 makes each strip of rows whole in one reused bool strip: row u's
+    draws fill its columns right of u, the diagonal block is mirrored, and
+    the columns left of the strip are the earlier rows' bits of the strip's
+    columns, unpacked and transposed.  The strip is then packed.  Pass 2
+    takes the row lengths from the bits' popcounts, and each row's set bits,
+    in order, are its CSR row.  The graph keeps the bits, so its R counts
+    never pack from the CSR arrays.  Besides ``neighbors`` and the bits, a
+    build holds about two strips of bools: it peaks at about 1.1-1.2x
+    ``neighbors.nbytes`` (1.13x on ``gnp:n=2000,p=0.5``)."""
     bits = np.zeros((n, _words(n)), dtype=np.uint64)
-    # mirrored a strip at a time: one whole-matrix transpose strides across
-    # all of it, about 9x slower at n = 5000.  The strip's rows are then
-    # whole: earlier strips mirrored their columns left of it
+    packed = bits.view(np.uint8)
+    strip = np.empty((min(_BLOCK_ROWS, n), n), dtype=bool)
+    draws = _gnp_draws(n, seed)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        adjacency[start:, start:stop] |= adjacency[start:stop, start:].T
-        _pack_strip(bits, start, adjacency[start:stop])
+        rows = strip[: stop - start]
+        # bit u of row v < start is entry (u, v): a start-aligned strip's
+        # columns are one 16-byte column range of the packed rows
+        left = np.unpackbits(packed[:start, start // 8 : -(-stop // 8)], axis=1,
+                             count=stop - start, bitorder="little")
+        rows[:, :start] = left.T
+        rows[:, start:stop] = False
+        for u, row in itertools.islice(draws, stop - start):
+            np.less(row, edge_prob, out=rows[u - start, u + 1:])
+        rows[:, start:stop] |= rows[:, start:stop].T
+        _pack_strip(bits, start, rows)
+    # freed before neighbors is allocated: about two strips off the peak
+    del strip, rows, left
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(adjacency, axis=1), out=offsets[1:])
+    np.cumsum(np.bitwise_count(bits).sum(axis=1, dtype=np.int64), out=offsets[1:])
     neighbors = np.empty(offsets[-1], dtype=np.int32)
-    for u, row in enumerate(adjacency):
-        neighbors[offsets[u] : offsets[u + 1]] = row.nonzero()[0]
+    for start in range(0, n, _BLOCK_ROWS):
+        # unpacked as 0/1 bytes; nonzero reads bools several times faster
+        rows = np.unpackbits(packed[start : start + _BLOCK_ROWS], axis=1, count=n,
+                             bitorder="little").view(bool)
+        for u, row in enumerate(rows, start):
+            neighbors[offsets[u] : offsets[u + 1]] = row.nonzero()[0]
     graph = Graph(neighbors=neighbors, offsets=offsets)
     # set where the cached_property would cache it
     object.__setattr__(graph, "_bits", bits)

@@ -72,7 +72,13 @@ def tail_mpmath(k, theta, m):
 
 
 def tail_exact_int(k, theta, m):
-    """Exact tail over the float's dyadic value, in pure integer arithmetic."""
+    """Exact tail over the float's dyadic value, in pure integer arithmetic.
+
+    With theta = a/b and c = b - a, term i is C(k, i) a^i c^(k-i) / b^k, and
+    term i+1 is term i times r_i = (k-i)a / ((i+1)c).  Binary splitting sums
+    the running products of r_m .. r_{k-1} as one exact fraction T/Q, so the
+    tail is term m times (Q + T)/Q: one int / int, which rounds correctly.
+    """
     if m <= 0:
         return 1.0
     if m > k:
@@ -84,18 +90,18 @@ def tail_exact_int(k, theta, m):
     a, b = theta.as_integer_ratio()
     c = b - a
 
-    def block(lo, hi):
-        # incremental exact integer term: t_{i+1} = t_i * (k-i) // (i+1) * a // c
-        term = math.comb(k, lo) * a**lo * c ** (k - lo)
-        total = term
-        for i in range(lo, hi):
-            term = term * (k - i) // (i + 1) * a // c
-            total += term
-        return total
+    def split(lo, hi):
+        # (P, Q, T) over r_lo .. r_{hi-1}: P/Q is their product, T/Q the sum
+        # of their running products r_lo, r_lo r_{lo+1}, ...
+        if hi - lo == 1:
+            return (k - lo) * a, (lo + 1) * c, (k - lo) * a
+        mid = (lo + hi) // 2
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
-    if k - m + 1 <= m:
-        return float(Fraction(block(m, k), b**k))
-    return float(Fraction(b**k - block(0, m - 1), b**k))
+    _, q, t = split(m, k) if m < k else (1, 1, 0)
+    return math.comb(k, m) * a**m * c ** (k - m) * (q + t) / (q * b**k)
 
 
 def pmf_fraction(k, i, theta):
