@@ -160,12 +160,10 @@ def _cmd_meanfield(args):
 def _cmd_critical(args):
     check_solver_args(args.k, args.tol, args.q)
     yield
-    if args.q is None:
-        cv = critical_bias_k(args.k, tol=args.tol)
-    else:
-        cv = critical_bias_kq(args.k, args.q, tol=args.tol)
-    yield {"schema": 1, "k": args.k, "q": args.q, "p_star_k": cv.p_star_k,
-           "p_star_kq": cv.p_star_kq, "tolerance": args.tol}
+    p_star_k = critical_bias_k(args.k, tol=args.tol)
+    p_star_kq = None if args.q is None else critical_bias_kq(args.k, args.q, tol=args.tol)
+    yield {"schema": 1, "k": args.k, "q": args.q, "p_star_k": p_star_k,
+           "p_star_kq": p_star_kq, "tolerance": args.tol}
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,10 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
     (P(R) = x^2 + x(1-x) = x), so k = 2 takes the voter attachment.
     Deterministic majority has threshold 1/2.  For every q, deterministic
     cells carry p*_k = p*_{k,q} = 1/2, and voter cells and cells with k <= 2
-    carry 0.0 for both.  For k-majority with k >= 3, p*_{k,q} is defined for
-    an initial majority q > 1/2 only, and cells with q <= 1/2 carry None.
+    carry 0.0 for both.  For k-majority with k >= 3, p*_{k,q} is the
+    threshold of the cell's bias mode (``critical_bias_kq`` with its
+    ``mode``); it is defined for an initial majority q > 1/2 only, and cells
+    with q <= 1/2 carry None.  p*_k is the same for both modes.
     """
     if family is Family.DETERMINISTIC_MAJORITY:
         if p < 0.5:
@@ -161,14 +163,13 @@ def _meanfield_attachment(family: Family, mode: BiasMode,
                 "mu": None, "p_star_k": 0.0, "p_star_kq": 0.0}
     k_odd = k if k % 2 == 1 else k - 1
     fp = fixed_points(MeanFieldParams(k_odd, p, mode))
-    cv = critical_bias_kq(k_odd, q) if q > 0.5 else critical_bias_k(k_odd)
     return {
         "regime": fp.regime.value,
         "phi_minus": fp.phi_minus,
         "phi_plus": fp.phi_plus,
         "mu": fp.mu,
-        "p_star_k": cv.p_star_k,
-        "p_star_kq": cv.p_star_kq,
+        "p_star_k": critical_bias_k(k_odd),
+        "p_star_kq": critical_bias_kq(k_odd, q, mode=mode) if q > 0.5 else None,
     }
 
 

@@ -11,8 +11,9 @@ complete graph answers both by arithmetic.  A CSR graph samples from its
 rows, and counts either from a packed bit matrix of its adjacency (dense
 graphs, see ``Graph._bits``) or by scattering its minority colour's rows.
 A dense G(n, p) has that matrix from its build; any other CSR graph packs
-it on its first count.  A K_n read from an edge-list file
-keeps the CSR storage.
+it on its first count where it takes no more bytes than ``neighbors``
+(mean degree above about n/32).  A K_n read from an edge-list file keeps
+the CSR storage.
 Every constructed graph is validated: its builder makes it simple and
 symmetric, and ``Graph`` itself rejects a node of degree 0 (the update rule
 samples neighbors, so isolated nodes are a hard error).

@@ -24,9 +24,10 @@ F' = 1, and computes the critical bias values:
   sits at or below the initial majority level ``q``.
 
 Everything here is a pure function of its arguments; the only shared state
-are three memos: binomial coefficients rounded to 60 digits
+are four memos: binomial coefficients rounded to 60 digits
 (``_comb_decimal``), the fair-coin pmf C(n, i) / 2^n rounded to a double
-(``_fair_pmf``), and the critical biases (``_critical_values``).
+(``_fair_pmf``), p*_k (``_p_star_k``) and p*_{k,q} per bias mode
+(``_p_star_kq``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "Regime",
     "MeanFieldParams",
     "FixedPointSet",
-    "CriticalValues",
     "binom_pmf",
     "binom_tail_geq",
     "eval_F",
@@ -138,15 +138,6 @@ class FixedPointSet:
     phi_minus: float | None
     phi_plus: float | None
     mu: float | None
-
-
-@dataclass(frozen=True)
-class CriticalValues:
-    """Critical bias thresholds for a given sample size: p*_k, and p*_{k,q}
-    when an initial majority level q was given (else None)."""
-
-    p_star_k: float
-    p_star_kq: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +387,22 @@ def eval_dF(params: MeanFieldParams, x: float) -> float:
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
-            q: float | None = None) -> float:
+            q: float | None = None, scale: float = 1.0) -> float:
     """Bisection on a bracketed sign change; stops once the bracket is
     narrower than tol and the midpoint residual is within tol.  Only the
     class of each f value is read (see ``_rank``), so f may return any value
     of the right class.
 
-    Given q, it also stops once the bracket lies on one side of q (hi <= q
-    or lo > q).  Each bracket holds every later one, and a midpoint of two
-    doubles lies between them, so the midpoint returned then is on the same
-    side of q as the full-precision result: only that side is meaningful."""
+    Given q, it also stops once the bracket times ``scale`` > 0 lies on one
+    side of q (scale * hi <= q or scale * lo > q).  Each bracket holds every
+    later one, a midpoint of two doubles lies between them, and rounding is
+    monotone, so the midpoint returned then times scale is on the same side
+    of q as the full-precision result times scale: only that side is
+    meaningful."""
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("bisection bracket does not straddle a sign change")
     for _ in range(_MAX_BISECT):
-        if q is not None and (hi <= q or lo > q):
+        if q is not None and (scale * hi <= q or scale * lo > q):
             break
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
@@ -558,16 +551,17 @@ def _classify(params: MeanFieldParams, tol: float):
     return Regime.SUPERCRITICAL, None, None
 
 
-def _phi_minus(edge: MeanFieldParams, tol: float, q: float | None = None):
+def _phi_minus(edge: MeanFieldParams, tol: float, q: float | None = None,
+               scale: float = 1.0):
     """The edge-bias map's regime, tangency point mu, residual F(mu) - mu and
     unstable root phi_minus: all but the regime None when supercritical, and
     phi_minus = mu when critical.
 
     phi_minus is bracketed in [1/(2(1-p)), mu], where F' is monotone, so
     the bracket holds a single sign change.  Given q, the bisection stops
-    once its bracket lies on one side of q (see ``_bisect``): the phi_minus
-    returned is then meaningful only as its side of q, which is the side of
-    the full-precision root.
+    once its bracket times ``scale`` lies on one side of q (see
+    ``_bisect``): scale * phi_minus is then meaningful only as its side of
+    q, which is the side of the full-precision root times scale.
     """
     regime, mu, psi_mu = _classify(edge, tol)
     if regime is Regime.SUPERCRITICAL:
@@ -580,7 +574,7 @@ def _phi_minus(edge: MeanFieldParams, tol: float, q: float | None = None):
     if psi_a >= 0.0:
         return regime, mu, psi_mu, a
     psi = lambda x: eval_F(edge, x) - x
-    return regime, mu, psi_mu, _bisect(psi, a, mu, psi_a, psi_mu, tol, q)
+    return regime, mu, psi_mu, _bisect(psi, a, mu, psi_a, psi_mu, tol, q, scale)
 
 
 def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPointSet:
@@ -613,8 +607,8 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
 # ---------------------------------------------------------------------------
 
 
-def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> CriticalValues:
-    """Largest bias for which a nontrivial fixed point survives.
+def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> float:
+    """p*_k, the largest bias for which a nontrivial fixed point survives.
 
     Bisection on p over [1/9, 1/2]: below the answer the map is subcritical
     or critical, above it supercritical.  Holds for both bias modes (the
@@ -627,56 +621,65 @@ def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> CriticalValues:
     so ``critical_bias_k(3, tol=1e-3)`` lies 1.14e-3 from 1/9.
     """
     check_solver_args(k, tol)
-    return _critical_values(k, None, tol)
+    return _p_star_k(k, tol)
 
 
-def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL) -> CriticalValues:
-    """Critical bias under Bernoulli(q) initialization.
+def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL,
+                     mode: BiasMode = BiasMode.EDGE) -> float:
+    """p*_{k,q}, the critical bias under Bernoulli(q) initialization.
 
-    The threshold is the largest p <= p_star_k with phi_minus(p) <= q;
-    phi_minus is increasing in p, so bisection on p applies.  q = 1 always
-    gives p_star_k itself.  ``tol`` bounds the final bracket of each
-    bisection and the residuals of the roots, as in ``critical_bias_k``, not
-    the distance to the exact thresholds.
+    The threshold is the largest p <= p*_k whose unstable root of the
+    ``mode`` map stays at or below q: phi_minus(p) of the edge-bias map for
+    edge bias, and (1-p) phi_minus(p) for node bias, whose roots are the
+    edge roots contracted by 1-p (see ``fixed_points``).  Both increase in
+    p, so bisection on p applies.  q = 1 always gives p*_k itself.  ``tol``
+    bounds the final bracket of each bisection and the residuals of the
+    roots, as in ``critical_bias_k``, not the distance to the exact
+    thresholds.
 
     Each probed bias bisects for mu, deciding each step as ``_classify``
     says, and then for phi_minus on exact values of F, stopping once the
-    bracket lies on one side of q: the probe reads only phi_minus <= q,
-    and that side is the full-precision root's, so every bit of the result
-    is as with phi_minus solved to tol.
+    bracket times the map's outer factor lies on one side of q: the probe
+    reads only that side, and it is the full-precision root's, so every bit
+    of the result is as with phi_minus solved to tol.
     """
     check_solver_args(k, tol, q)
-    return _critical_values(k, q, tol)
+    if not isinstance(mode, BiasMode):
+        raise ValueError(f"mode must be a BiasMode, got {mode!r}")
+    return _p_star_kq(k, q, tol, mode)
 
 
 @lru_cache(maxsize=None)
-def _critical_values(k: int, q: float | None, tol: float) -> CriticalValues:
-    """The memo of the critical biases, for arguments ``check_solver_args``
-    accepts: p*_k when q is None, else p*_k and p*_{k,q}.  A q entry reads
-    p*_k from the (k, None, tol) entry, so p*_k is solved once for every q."""
-    if q is None:
+def _p_star_k(k: int, tol: float) -> float:
+    """The memo of p*_k, for arguments ``check_solver_args`` accepts."""
 
-        def has_root(p: float) -> bool:
-            regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE), tol)
-            return regime is not Regime.SUPERCRITICAL
+    def has_root(p: float) -> bool:
+        regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE), tol)
+        return regime is not Regime.SUPERCRITICAL
 
-        p_star = _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
-        return CriticalValues(p_star_k=p_star, p_star_kq=None)
-    p_star = _critical_values(k, None, tol).p_star_k
+    return _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
+
+
+@lru_cache(maxsize=None)
+def _p_star_kq(k: int, q: float, tol: float, mode: BiasMode) -> float:
+    """The memo of p*_{k,q}, for arguments ``critical_bias_kq`` accepts.  It
+    reads p*_k from ``_p_star_k``, so p*_k is solved once for every q and
+    mode."""
+    p_star = _p_star_k(k, tol)
 
     def phi_minus_within_q(p: float) -> bool:
         # solves phi_minus only, as fixed_points does, and only to the side
-        # of q; phi_plus is not read
-        _, _, _, phi_minus = _phi_minus(MeanFieldParams(k, p, BiasMode.EDGE), tol, q)
-        return phi_minus is not None and phi_minus <= q
+        # of q; phi_plus is not read.  s is the map's outer factor, 1.0 for
+        # edge bias, where s * phi_minus == phi_minus.
+        _, s = _contraction(MeanFieldParams(k, p, mode))
+        _, _, _, phi_minus = _phi_minus(MeanFieldParams(k, p, BiasMode.EDGE), tol, q, s)
+        return phi_minus is not None and s * phi_minus <= q
 
     # Probe just inside the subcritical window: if even the largest phi_minus
     # stays below q, the q-threshold coincides with p_star_k.
     if phi_minus_within_q(max(0.0, p_star - 2.0 * tol)):
-        p_star_kq = p_star
-    else:
-        p_star_kq = _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
-    return CriticalValues(p_star_k=p_star, p_star_kq=p_star_kq)
+        return p_star
+    return _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,18 @@ def closed_form_k3(p: float) -> FixedPointSet:
     return FixedPointSet(Regime.SUBCRITICAL, phi_minus, phi_plus, mu=None)
 
 
+def k3_node_p_star_q(q: float) -> float:
+    """p*_{3,q} of node bias in closed form.  The node map's unstable root y
+    solves (1-p) (3y - 2y^2) = 1, and y(3 - 2y) increases up to y = 3/4,
+    where p = 1/9 = p*_3.  So for q <= 3/4 the threshold is the p at which
+    y = q, 1 - p = 8 / (9 - (3 - 4q)^2), and above 3/4 it is 1/9."""
+    if not 0.5 < q <= 1.0:
+        raise ValueError(f"initial majority level q must lie in (1/2, 1], got {q!r}")
+    if q >= 0.75:
+        return 1.0 / 9.0
+    return 1.0 - 8.0 / (9.0 - (3.0 - 4.0 * q) ** 2)
+
+
 def eval_d2F(params: MeanFieldParams, x: float) -> float:
     """Second derivative of the update map (odd k).
 

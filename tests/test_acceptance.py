@@ -53,8 +53,8 @@ def report(n, detail):
 
 def test_criterion_01_critical_bias_and_fixed_points_k3():
     t0 = time.time()
-    cv = critical_bias_k(3)
-    assert abs(cv.p_star_k - 1 / 9) <= 1e-9
+    p_star = critical_bias_k(3)
+    assert abs(p_star - 1 / 9) <= 1e-9
 
     fp = fixed_points(MeanFieldParams(3, 0.05, EDGE))
     cf = closed_form_k3(0.05)
@@ -69,13 +69,13 @@ def test_criterion_01_critical_bias_and_fixed_points_k3():
         assert abs(root - 27 / 32) <= 1e-9
     elapsed = time.time() - t0
     assert elapsed < 1.0
-    report(1, f"p3*={cv.p_star_k:.12f}, phi(1/9)~27/32, {elapsed:.2f}s")
+    report(1, f"p3*={p_star:.12f}, phi(1/9)~27/32, {elapsed:.2f}s")
 
 
 def test_criterion_02_monotone_critical_sequence():
     t0 = time.time()
     ks = (3, 5, 7, 9, 21, 51, 101)
-    values = [critical_bias_k(k).p_star_k for k in ks]
+    values = [critical_bias_k(k) for k in ks]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] < 0.5
     elapsed = time.time() - t0
@@ -195,7 +195,7 @@ def test_criterion_09_q_dependent_threshold():
     assert abs(c_full.knee - 0.111) <= grid_step + 1e-9
 
     c_low = curve(tuple(round(0.02 + grid_step * i, 2) for i in range(11)), 0.6, 92_000)
-    p_star_kq = critical_bias_kq(3, 0.6).p_star_kq
+    p_star_kq = critical_bias_kq(3, 0.6)
     assert c_low.knee is not None
     assert c_low.knee < c_full.knee
     assert abs(c_low.knee - p_star_kq) <= grid_step + 1e-9

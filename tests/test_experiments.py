@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from oracles import disruption_curve
+from oracles import disruption_curve, k3_node_p_star_q
 
 from kmajority import experiments, meanfield
 from kmajority.dynamics import DynamicsParams, Family
@@ -22,6 +22,7 @@ from kmajority.graph import GraphKind, GraphSpec, generate
 from kmajority.meanfield import BiasMode, MeanFieldParams, fixed_points
 
 EDGE = BiasMode.EDGE
+NODE = BiasMode.NODE
 
 
 def small_spec(**overrides):
@@ -209,10 +210,19 @@ class TestSweepPlan:
         cells = run_sweep(small_spec(graph_spec=GraphSpec(GraphKind.COMPLETE, n=20),
                                      k_values=(3, 101), p_values=(0.05,), q_values=(0.6, 0.9),
                                      replicas=1, max_rounds=1))
-        # one miss per (k, None) entry, which solves p*_k, and one per (k, q)
-        assert meanfield._critical_values.cache_info().misses == 2 + 2 * 2
-        assert cells[0].meanfield["p_star_k"] == meanfield.critical_bias_k(3).p_star_k
-        assert cells[0].meanfield["p_star_kq"] == meanfield.critical_bias_kq(3, 0.6).p_star_kq
+        # one p*_k miss per k, which solves p*_k, and one p*_{k,q} miss per (k, q)
+        assert meanfield._p_star_k.cache_info().misses == 2
+        assert meanfield._p_star_kq.cache_info().misses == 2 * 2
+        assert cells[0].meanfield["p_star_k"] == meanfield.critical_bias_k(3)
+        assert cells[0].meanfield["p_star_kq"] == meanfield.critical_bias_kq(3, 0.6)
+
+    def test_node_cell_carries_the_node_threshold(self):
+        # node cells used to carry the edge value, 0.0549 at k = 3, q = 0.6
+        cells = run_sweep(small_spec(graph_spec=GraphSpec(GraphKind.COMPLETE, n=20), mode=NODE,
+                                     p_values=(0.05,), q_values=(0.6,), replicas=1,
+                                     max_rounds=1))
+        assert cells[0].meanfield["p_star_kq"] == pytest.approx(k3_node_p_star_q(0.6), abs=2e-10)
+        assert cells[0].meanfield["p_star_k"] == meanfield.critical_bias_k(3)
 
     def test_graph_seed_draws_the_per_cell_graphs(self, count_calls):
         # per-cell graphs used to hash base_seed, so graph_seed had no effect
@@ -277,6 +287,19 @@ class TestDisruptionCurve:
         censored_fracs = [r[2] for r in curve.rows]
         assert censored_fracs[0] == 1.0 and censored_fracs[-1] == 0.0
         assert curve.p_star_kq == pytest.approx(1 / 9, abs=1e-8)
+
+    def test_node_knee_follows_the_node_threshold(self):
+        # node bias on K_2000, q = 0.6: the runs stay metastable above the
+        # edge threshold 0.0549 and collapse near the node one, 2/27
+        grid_step = 0.01
+        curve = disruption_curve(small_spec(
+            graph_spec=GraphSpec(GraphKind.COMPLETE, n=2000), mode=NODE,
+            p_values=(0.06, 0.07, 0.08, 0.09), q_values=(0.6,), replicas=20,
+            base_seed=93_000, max_rounds=400,
+        ))
+        assert curve.p_star_kq == pytest.approx(2 / 27, abs=2e-10)
+        assert abs(curve.knee - curve.p_star_kq) <= grid_step
+        assert abs(curve.knee - meanfield.critical_bias_kq(3, 0.6)) > grid_step
 
     def test_requires_single_k_and_q(self):
         with pytest.raises(ValueError):

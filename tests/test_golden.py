@@ -41,11 +41,11 @@ P_STAR_K = {
 
 @pytest.mark.parametrize("k", sorted(P_STAR_K))
 def test_critical_bias_k(k):
-    assert critical_bias_k(k).p_star_k.hex() == P_STAR_K[k]
+    assert critical_bias_k(k).hex() == P_STAR_K[k]
 
 
 def test_critical_bias_kq():
-    assert critical_bias_kq(65, 0.6).p_star_kq.hex() == "0x1.1fec1a6d54906p-3"
+    assert critical_bias_kq(65, 0.6).hex() == "0x1.1fec1a6d54906p-3"
 
 
 # k -> (p*_k, p*_{k,0.6}, p*_{k,0.75}): the q-ladder of the critical-large-k benchmark
@@ -62,10 +62,9 @@ Q_LADDER = {
 @pytest.mark.parametrize("k", sorted(Q_LADDER))
 def test_critical_bias_q_ladder(k):
     p_star_k, *p_star_kq = Q_LADDER[k]
-    assert critical_bias_k(k).p_star_k.hex() == p_star_k
+    assert critical_bias_k(k).hex() == p_star_k
     for q, want in zip((0.6, 0.75), p_star_kq):
-        cv = critical_bias_kq(k, q)
-        assert (cv.p_star_k.hex(), cv.p_star_kq.hex()) == (p_star_k, want)
+        assert (critical_bias_k(k).hex(), critical_bias_kq(k, q).hex()) == (p_star_k, want)
 
 
 # k|q|tol -> float.hex of p*_{k,q} solved at that tolerance: each phi_minus
@@ -89,8 +88,7 @@ Q_TOLERANCE = {
 @pytest.mark.parametrize("case", sorted(Q_TOLERANCE))
 def test_critical_bias_kq_tolerance(case):
     k, q, tol = case.split("|")
-    cv = critical_bias_kq(int(k), float(q), float(tol))
-    assert cv.p_star_kq.hex() == Q_TOLERANCE[case]
+    assert critical_bias_kq(int(k), float(q), float(tol)).hex() == Q_TOLERANCE[case]
 
 
 # k|p|mode -> float.hex of the tangency point mu (node mode reports it contracted)

@@ -527,10 +527,11 @@ class TestRNeighborCounts:
 
 class TestEdgeKeyWidth:
     def test_gnp_build_peak_memory_below_three_neighbor_arrays(self):
-        # a build in int64 keys peaks at 5.0x neighbors.nbytes (38.4 MiB) here
+        # p = 0.2 < n/(4(n-1)) takes the key route: its int32 keys peak at
+        # about 2.2x neighbors.nbytes here, and int64 keys would peak at about 5x
         tracemalloc.start()
         try:
-            graph = generate(parse_graph_spec("gnp:n=2000,p=0.5", seed=101001))
+            graph = generate(parse_graph_spec("gnp:n=2000,p=0.2", seed=101001))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

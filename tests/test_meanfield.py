@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import closed_form_k3, eval_d2F
+from oracles import closed_form_k3, eval_d2F, k3_node_p_star_q
 
 from kmajority import meanfield
 from kmajority.meanfield import (
@@ -311,7 +311,8 @@ class TestPmfAnchor:
         binom_pmf(MAX_K, 3000, 0.3)
         assert memos["_comb_decimal"].cache_info().currsize > 0
         critical_bias_kq(3, 0.6)
-        assert memos["_critical_values"].cache_info().currsize == 2
+        assert memos["_p_star_k"].cache_info().currsize == 1
+        assert memos["_p_star_kq"].cache_info().currsize == 1
         for name, memo in memos.items():
             assert memo.__module__ == meanfield.__name__, name
             memo.cache_clear()
@@ -600,41 +601,50 @@ class TestClosedFormK3:
 
 class TestCriticalBias:
     def test_k3_is_one_ninth(self):
-        cv = critical_bias_k(3)
-        assert cv.p_star_k == pytest.approx(1 / 9, abs=1e-9)
+        assert critical_bias_k(3) == pytest.approx(1 / 9, abs=1e-9)
 
     def test_frozen_oracle_values(self):
         for k, want in PK_STAR_ORACLE.items():
-            got = critical_bias_k(k).p_star_k
+            got = critical_bias_k(k)
             assert got == pytest.approx(want, abs=5e-8), k
 
     def test_monotone_increasing_below_half(self):
-        values = [critical_bias_k(k).p_star_k for k in (3, 5, 7, 9, 21)]
+        values = [critical_bias_k(k) for k in (3, 5, 7, 9, 21)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] < 0.5
 
     def test_kq_at_q_one(self):
-        cv = critical_bias_kq(3, 1.0)
-        assert cv.p_star_kq == cv.p_star_k
+        assert critical_bias_kq(3, 1.0) == critical_bias_k(3)
 
     def test_kq_frozen_values(self):
-        assert critical_bias_kq(3, 0.6).p_star_kq == pytest.approx(
+        assert critical_bias_kq(3, 0.6) == pytest.approx(
             0.05488512857955294, abs=1e-8
         )
-        assert critical_bias_kq(3, 0.51).p_star_kq == pytest.approx(
+        assert critical_bias_kq(3, 0.51) == pytest.approx(
             0.0065351729438335093, abs=1e-8
         )
 
     def test_kq_monotone_in_q(self):
-        vals = [critical_bias_kq(3, q).p_star_kq for q in (0.51, 0.6, 0.8, 1.0)]
+        vals = [critical_bias_kq(3, q) for q in (0.51, 0.6, 0.8, 1.0)]
         assert all(a < b or math.isclose(a, b, abs_tol=1e-9)
                    for a, b in zip(vals, vals[1:]))
         assert vals[0] < vals[1]
 
+    @pytest.mark.parametrize("q", [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 1.0])
+    def test_kq_node_k3_closed_form(self, q):
+        assert critical_bias_kq(3, q, mode=NODE) == pytest.approx(k3_node_p_star_q(q), abs=2e-10)
+
+    def test_rejects_mode_before_solving(self):
+        for mode in ("node", None):
+            with pytest.raises(ValueError, match="BiasMode"):
+                critical_bias_kq(3, 0.6, mode=mode)
+        assert meanfield._p_star_k.cache_info().misses == 0
+
     def test_kq_bounded_by_pk(self):
+        # the node root (1-p) phi_minus lies below the edge root phi_minus
         for q in (0.55, 0.7, 0.9):
-            cv = critical_bias_kq(5, q)
-            assert cv.p_star_kq <= cv.p_star_k + 1e-12
+            edge, node = critical_bias_kq(5, q), critical_bias_kq(5, q, mode=NODE)
+            assert edge <= node <= critical_bias_k(5) + 1e-12
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -668,15 +678,18 @@ class TestCriticalBias:
 
     def test_tolerance_at_cap_solves(self):
         # two significant digits of p*_3 = 1/9
-        assert round(critical_bias_k(3, tol=1e-3).p_star_k, 2) == 0.11
+        assert round(critical_bias_k(3, tol=1e-3), 2) == 0.11
 
     def test_p_star_k_solved_once_for_every_q(self):
-        memo = meanfield._critical_values
-        first = critical_bias_kq(7, 0.6)
-        second = critical_bias_kq(7, 0.75)
-        # entries (7, 0.6), (7, None) and (7, 0.75); the second q reads p*_7
-        assert (memo.cache_info().misses, memo.cache_info().hits) == (3, 1)
-        assert first.p_star_k == second.p_star_k == critical_bias_k(7).p_star_k
+        critical_bias_kq(7, 0.6)
+        critical_bias_kq(7, 0.75, mode=NODE)
+        critical_bias_kq(7, 0.75)
+        # p*_7 is solved by the first q entry and read by the other two
+        pk, pkq = meanfield._p_star_k.cache_info(), meanfield._p_star_kq.cache_info()
+        assert (pk.misses, pk.hits) == (1, 2)
+        assert (pkq.misses, pkq.hits) == (3, 0)
+        critical_bias_k(7)
+        assert meanfield._p_star_k.cache_info().misses == 1
 
     def test_warm_memo_still_validates(self):
         # an untyped lru_cache finds the warm entry of k = 3 for k = 3.0
@@ -752,7 +765,7 @@ class TestCertifiedDecisions:
     def test_certified_steps_cut_exact_anchors(self, count_calls):
         # with an exact anchor at every mu step this solve runs 3 440
         exact = count_calls(meanfield, "_pmf_exact")
-        assert critical_bias_kq(65, 0.6).p_star_kq.hex() == "0x1.1fec1a6d54906p-3"
+        assert critical_bias_kq(65, 0.6).hex() == "0x1.1fec1a6d54906p-3"
         assert len(exact) <= 1200
 
     @pytest.mark.parametrize("k", [1001, 2001])
@@ -768,7 +781,7 @@ def _phi_minus_grid():
     """(edge params, tol) over a seeded grid of subcritical biases."""
     rng = random.Random(20231)
     for k in (3, 5, 17, 65, 257):
-        p_star = critical_bias_k(k).p_star_k
+        p_star = critical_bias_k(k)
         for p in [0.0] + sorted(rng.uniform(0.0, 0.98 * p_star) for _ in range(4)):
             for tol in (1e-10, 1e-5):
                 yield MeanFieldParams(k, p, EDGE), tol
@@ -803,10 +816,23 @@ class TestPhiMinusQStop:
         assert cases == 5 * 5 * 2 * 11
         assert digest.hexdigest() == PHI_MINUS_GRID_SHA256
 
+    def test_scaled_side_of_q_matches_full_precision(self):
+        # node bias reads (1-p) phi_minus <= q, and the stop tests that product
+        rng = random.Random(20233)
+        for edge, tol in _phi_minus_grid():
+            phi_minus = meanfield._phi_minus(edge, tol)[3]
+            s = 1.0 - edge.p
+            node = s * phi_minus
+            qs = [node, math.nextafter(node, 0.0), math.nextafter(node, 2.0)]
+            qs += [rng.uniform(0.5, 1.0) for _ in range(4)]
+            for q in qs:
+                got = meanfield._phi_minus(edge, tol, q, s)[3]
+                assert (s * got <= q) == (node <= q), (edge, tol, q)
+
     def test_q_stop_cuts_map_evaluations(self, count_calls):
         critical_bias_k(65)  # p*_65 memoised: count only the q solve
         calls = count_calls(meanfield, "eval_F")
-        assert critical_bias_kq(65, 0.6).p_star_kq.hex() == "0x1.1fec1a6d54906p-3"
+        assert critical_bias_kq(65, 0.6).hex() == "0x1.1fec1a6d54906p-3"
         # 1 110 when each phi_minus is solved to full precision
         assert len(calls) <= 700
 
