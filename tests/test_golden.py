@@ -67,6 +67,24 @@ def test_critical_bias_q_ladder(k):
         assert (critical_bias_k(k).hex(), critical_bias_kq(k, q).hex()) == (p_star_k, want)
 
 
+# k -> (p*_{k,0.6}, p*_{k,0.75}) of node bias over the k of Q_LADDER; from
+# k = 5 on, q = 0.75 is p*_k itself
+NODE_Q_LADDER = {
+    3: ("0x1.2f684bd9c71ccp-4", "0x1.c71c71c071c72p-4"),
+    5: ("0x1.ef6ffa3cd6a65p-4", "0x1.5228751a00000p-3"),
+    9: ("0x1.7496fc3b4900fp-3", "0x1.c995dcd4aaaacp-3"),
+    17: ("0x1.0105057425fdep-2", "0x1.1dca4a9e8e38fp-2"),
+    33: ("0x1.44f205e4dee3ep-2", "0x1.4fa1f78e8e38dp-2"),
+    65: ("0x1.7894e4a9997c4p-2", "0x1.78c9e9b1e38e4p-2"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(NODE_Q_LADDER))
+def test_critical_bias_q_ladder_node(k):
+    got = tuple(critical_bias_kq(k, q, mode=BiasMode.NODE).hex() for q in (0.6, 0.75))
+    assert got == NODE_Q_LADDER[k]
+
+
 # k|q|tol -> float.hex of p*_{k,q} solved at that tolerance: each phi_minus
 # solve may stop on its bracket width, on its residual or on the side of q
 Q_TOLERANCE = {
