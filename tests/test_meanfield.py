@@ -62,6 +62,17 @@ def tail_fraction(k, theta, m):
                      for i in range(m, k + 1)))
 
 
+def majority_exact(k, x):
+    """G(x) = P(Bin(k, x) > k/2) for odd k at the rational x, exactly."""
+    return sum(math.comb(k, i) * x**i * (1 - x) ** (k - i) for i in range(k // 2 + 1, k + 1))
+
+
+def majority_slope_exact(k, x):
+    """G'(x) = k C(k-1, h) (x (1-x))^h, h = (k-1)/2, for odd k, exactly."""
+    h = (k - 1) // 2
+    return k * math.comb(k - 1, h) * (x * (1 - x)) ** h
+
+
 def tail_mpmath(k, theta, m):
     """Independent tail via the regularized incomplete beta."""
     if m <= 0:
@@ -633,6 +644,24 @@ class TestCriticalBias:
     @pytest.mark.parametrize("q", [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 1.0])
     def test_kq_node_k3_closed_form(self, q):
         assert critical_bias_kq(3, q, mode=NODE) == pytest.approx(k3_node_p_star_q(q), abs=2e-10)
+
+    @pytest.mark.parametrize("q", [0.55, 0.6, 0.7, 0.8])
+    @pytest.mark.parametrize("k", [3, 5, 9, 17, 65])
+    def test_kq_solves_the_threshold_law(self, k, q):
+        # At p*_{k,q} below p*_k the unstable root sits at q: node bias solves
+        # (1-p) G(q) = q, where q is unstable while (1-p) G'(q) > 1, and edge
+        # bias solves G((1-p) q) = q; G and G' are exact over the dyadic q.
+        # At k = 3, q = 0.8 the node law gives 0.1071 < p*_3, but q is on the
+        # stable branch there, so the threshold is p*_3.
+        p_star, exact_q = critical_bias_k(k), Fraction(q)
+        node = 1 - exact_q / majority_exact(k, exact_q)
+        if (1 - node) * majority_slope_exact(k, exact_q) > 1:
+            assert abs(critical_bias_kq(k, q, mode=NODE) - node) <= 1e-9
+        else:
+            assert critical_bias_kq(k, q, mode=NODE) == p_star
+        edge = critical_bias_kq(k, q)
+        if edge != p_star:
+            assert abs(majority_exact(k, (1 - Fraction(edge)) * exact_q) - exact_q) <= 1e-9
 
     def test_rejects_mode_before_solving(self):
         for mode in ("node", None):
