@@ -52,7 +52,7 @@ from kmajority.experiments import (
 )
 from kmajority.graph import generate, parse_graph_spec, save_edge_list
 from kmajority.meanfield import (
-    DEFAULT_TOL,
+    SOLVER_TOL,
     BiasMode,
     MeanFieldParams,
     Regime,
@@ -92,7 +92,6 @@ def _number(what: str = "a finite number", ok=lambda value: True, cast=float):
 
 
 _FINITE = _number()
-_POSITIVE = _number("a finite number above 0", lambda value: value > 0.0)
 _NON_NEGATIVE = _number("a finite number >= 0", lambda value: value >= 0.0)
 _UNIT = _number("a number in [0, 1]", lambda value: 0.0 <= value <= 1.0)
 _COUNT = _number("an integer >= 0", lambda value: value >= 0, cast=int)
@@ -129,18 +128,16 @@ def _check_output(path: str | Path, label: str) -> Path:
 def _cmd_meanfield(args):
     params = MeanFieldParams(args.k, args.p, BiasMode(args.mode))
     solve = args.k % 2 == 1 and args.k >= 3
-    if solve:
-        check_solver_args(args.k, args.tol)
-    elif args.q0 is None:
+    if not solve and args.q0 is None:
         raise ValueError(
             "fixed-point solving requires odd k >= 3; for k = 1 or even k give --q0 "
             "to get the orbit"
         )
     yield
     doc = {"schema": 1, "k": args.k, "p": args.p, "mode": args.mode,
-           "tolerance": args.tol}
+           "tolerance": SOLVER_TOL}
     if solve:
-        fp = fixed_points(params, tol=args.tol)
+        fp = fixed_points(params)
         # the distinct roots of F(x) = x, ascending (phi- = phi+ when critical)
         roots = {Regime.SUPERCRITICAL: [0.0], Regime.CRITICAL: [0.0, fp.phi_plus],
                  Regime.SUBCRITICAL: [0.0, fp.phi_minus, fp.phi_plus]}[fp.regime]
@@ -158,12 +155,12 @@ def _cmd_meanfield(args):
 
 
 def _cmd_critical(args):
-    check_solver_args(args.k, args.tol, args.q)
+    check_solver_args(args.k, args.q)
     yield
-    p_star_k = critical_bias_k(args.k, tol=args.tol)
-    p_star_kq = None if args.q is None else critical_bias_kq(args.k, args.q, tol=args.tol)
+    p_star_k = critical_bias_k(args.k)
+    p_star_kq = None if args.q is None else critical_bias_kq(args.k, args.q)
     yield {"schema": 1, "k": args.k, "q": args.q, "p_star_k": p_star_k,
-           "p_star_kq": p_star_kq, "tolerance": args.tol}
+           "p_star_kq": p_star_kq, "tolerance": SOLVER_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +396,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=_MODES, default="edge", help="bias mechanism")
     p.add_argument("--q0", type=_UNIT, default=None, help="initial value for the orbit")
     p.add_argument("--rounds", type=_COUNT, default=200, help="orbit length when --q0 is given")
-    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL,
-                   help="solver tolerance: bounds the bisection brackets and the "
-                        "residuals |F(x) - x| of the roots")
     p.set_defaults(handler=_cmd_meanfield)
 
     p = sub.add_parser("critical", formatter_class=fmt,
@@ -409,9 +403,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True, help="sample size (odd, >= 3)")
     p.add_argument("--q", type=_FINITE, default=None,
                    help="initial majority level in (1/2,1]")
-    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL,
-                   help="solver tolerance: bounds the final bisection bracket and the "
-                        "residual |F(mu) - mu| that classifies a bias, not |p - p*|")
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("simulate", formatter_class=fmt,

@@ -32,6 +32,7 @@ per-node substream contract.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -83,8 +84,10 @@ class DynamicsParams:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             raise ValueError(f"family must be a Family, got {self.family!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"bias p must lie in [0, 1], got {self.p!r}")
+        p = self.p
+        # bool is a Real subclass and would run as p = 0 or 1
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"bias p must be a number in [0, 1], got {p!r}")
         if not isinstance(self.mode, BiasMode):
             raise ValueError(f"mode must be a BiasMode, got {self.mode!r}")
         # type(...) is int: bool and 2.0 are not integers

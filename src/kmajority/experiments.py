@@ -19,6 +19,7 @@ import csv
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -87,8 +88,9 @@ class SweepSpec:
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} grid values must be distinct, got {list(grid)}")
         for q in self.q_values:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"initialization grid value {q!r} outside [0, 1]")
+            # bool is a Real subclass; p values are checked by DynamicsParams
+            if isinstance(q, bool) or not isinstance(q, numbers.Real) or not 0.0 <= q <= 1.0:
+                raise ValueError(f"initialization grid value {q!r} is not a number in [0, 1]")
         for k, p in itertools.product(self.k_values, self.p_values):
             DynamicsParams(self.family, p, self.mode, k=k, max_rounds=self.max_rounds)
 

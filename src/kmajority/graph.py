@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import codecs
 import itertools
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -119,8 +120,10 @@ class GraphSpec:
         if type(self.n) is not int or self.n < 2:
             raise ValueError(f"graph needs n >= 2 nodes, got n={self.n}")
         if self.kind is GraphKind.GNP:
-            if self.edge_prob is None or not 0.0 < self.edge_prob <= 1.0:
-                raise ValueError(f"gnp requires edge probability in (0, 1], got {self.edge_prob!r}")
+            p = self.edge_prob
+            # bool is a Real subclass and would build p = 1
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p <= 1.0:
+                raise ValueError(f"gnp requires edge probability in (0, 1], got {p!r}")
         if self.kind is GraphKind.RANDOM_REGULAR:
             d = self.degree
             if type(d) is not int or d < 1 or d >= self.n:

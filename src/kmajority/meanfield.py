@@ -23,17 +23,18 @@ F' = 1, and computes the critical bias values:
 * ``p_star_kq``  -- largest bias whose unstable fixed point phi_minus still
   sits at or below the initial majority level ``q``.
 
-Everything here is a pure function of its arguments; the only shared state
-are four memos: binomial coefficients rounded to 60 digits
-(``_comb_decimal``), the fair-coin pmf C(n, i) / 2^n rounded to a double
-(``_fair_pmf``), p*_k (``_p_star_k``) and p*_{k,q} per bias mode
-(``_p_star_kq``).
+Everything here is a pure function of its arguments and the fixed solver
+tolerance ``SOLVER_TOL``; the only shared state are four memos: binomial
+coefficients rounded to 60 digits (``_comb_decimal``), the fair-coin pmf
+C(n, i) / 2^n rounded to a double (``_fair_pmf``), p*_k (``_p_star_k``) and
+p*_{k,q} per bias mode (``_p_star_kq``).
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -76,11 +77,9 @@ _ONE = Decimal(1)
 _ONE_MINUS_ETA = _DECIMAL.subtract(_ONE, Decimal("1e-45"))  # both exact at 60 digits
 _ONE_PLUS_ETA = _DECIMAL.add(_ONE, Decimal("1e-45"))
 
-DEFAULT_TOL = 1e-10
-# Largest solver tolerance.  A tolerance as wide as a bisection's first
-# bracket returns that bracket's midpoint unsolved (tol = 1 gave p*_3 = 0.3056,
-# not 1/9); p*_k >= 1/9 for every k, so 1e-3 keeps two significant digits.
-_MAX_TOL = 1e-3
+# The solver tolerance: the width at which a bisection stops and the residual
+# within which a value counts as zero.  The solvers read it when called.
+SOLVER_TOL = 1e-10
 _MAX_BISECT = 200
 
 # Smallest intermediate the certified F' decision accepts (see _dF_excess):
@@ -117,8 +116,10 @@ class MeanFieldParams:
             raise ValueError(f"sample size k must be a positive integer, got {self.k!r}")
         if self.k > MAX_K:
             raise ValueError(f"sample size k={self.k} exceeds the supported cap {MAX_K}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"bias p must lie in [0, 1], got {self.p!r}")
+        p = self.p
+        # bool is a Real subclass and would run as p = 0 or 1
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"bias p must be a number in [0, 1], got {p!r}")
         if not isinstance(self.mode, BiasMode):
             raise ValueError(f"mode must be a BiasMode, got {self.mode!r}")
 
@@ -386,11 +387,11 @@ def eval_dF(params: MeanFieldParams, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
+def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
             q: float | None = None, scale: float = 1.0) -> float:
     """Bisection on a bracketed sign change; stops once the bracket is
-    narrower than tol and the midpoint residual is within tol.  Only the
-    class of each f value is read (see ``_rank``), so f may return any value
+    narrower than SOLVER_TOL and the midpoint residual is within it.  Only
+    the class of each f value is read (see ``_rank``), so f may return any value
     of the right class.
 
     Given q, it also stops once the bracket times ``scale`` > 0 lies on one
@@ -412,17 +413,17 @@ def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol and abs(f_mid) <= tol:
+        if hi - lo <= SOLVER_TOL and abs(f_mid) <= SOLVER_TOL:
             break
     return 0.5 * (lo + hi)
 
 
-def _bisect_bias(holds, lo: float, hi: float, tol: float) -> float:
+def _bisect_bias(holds, lo: float, hi: float) -> float:
     """Bisection on the bias for the edge of a property that holds on
     [lo, answer] and fails above it; midpoint of the final bracket, which
-    is at most tol wide."""
+    is at most SOLVER_TOL wide."""
     for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
+        if hi - lo <= SOLVER_TOL:
             break
         mid = 0.5 * (lo + hi)
         if holds(mid):
@@ -432,36 +433,32 @@ def _bisect_bias(holds, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def check_solver_args(k: int, tol: float, q: float | None = None) -> None:
+def check_solver_args(k: int, q: float | None = None) -> None:
     """Reject, before any solve, what the solvers refuse.  Fixed points and
     critical biases exist for odd k >= 3 (the k = 1 map is linear) up to
-    MAX_K; the solvers bisect down to a positive tolerance of at most
-    _MAX_TOL; an initial majority level q, when given, lies in (1/2, 1]."""
+    MAX_K; an initial majority level q, when given, lies in (1/2, 1]."""
     if q is not None and not 0.5 < q <= 1.0:
         raise ValueError(f"initial majority level q must lie in (1/2, 1], got {q!r}")
     # type(...) is int: bool is an int subclass
     if type(k) is not int or k % 2 == 0 or k < 3:
         raise ValueError(f"the solver requires odd k >= 3, got k={k!r}")
-    if not 0.0 < tol <= _MAX_TOL:
-        raise ValueError(f"tolerance must be positive, finite and at most {_MAX_TOL}, "
-                         f"got {tol!r}")
     if k > MAX_K:
         raise ValueError(f"sample size k={k} exceeds the supported cap {MAX_K}")
 
 
-def _rank(g: float, tol: float) -> int:
+def _rank(g: float) -> int:
     """The class of a value g that ``_bisect`` and ``_classify`` read: 0 for
-    g < -tol, 1 for -tol <= g < 0, 2 for g == 0, 3 for 0 < g <= tol and 4
-    for g > tol.  Non-decreasing in g."""
-    return (g >= -tol) + (g >= 0.0) + (g > 0.0) + (g > tol)
+    g < -SOLVER_TOL, 1 for -SOLVER_TOL <= g < 0, 2 for g == 0, 3 for
+    0 < g <= SOLVER_TOL and 4 for g > SOLVER_TOL.  Non-decreasing in g."""
+    return (g >= -SOLVER_TOL) + (g >= 0.0) + (g > 0.0) + (g > SOLVER_TOL)
 
 
 # The regime by the class (``_rank``) of F(mu) - mu: F stays below the
-# diagonal (0), touches it within tol (1 to 3) or crosses it (4).
+# diagonal (0), touches it within SOLVER_TOL (1 to 3) or crosses it (4).
 _REGIME_BY_CLASS = (Regime.SUPERCRITICAL,) + (Regime.CRITICAL,) * 3 + (Regime.SUBCRITICAL,)
 
 
-def _dF_excess(edge: MeanFieldParams, tol: float):
+def _dF_excess(edge: MeanFieldParams):
     """The test of one bias: a function of x that returns a value of the
     same class (``_rank``) as g = eval_dF(edge, x) - 1.0, one certified from
     double arithmetic where that decides the class, else g itself.  h,
@@ -514,14 +511,14 @@ def _dF_excess(edge: MeanFieldParams, tol: float):
             estimate = fair * power
             g_lo = slope * math.nextafter(estimate * shrink, 0.0) - 1.0
             g_hi = slope * math.nextafter(estimate * grow, math.inf) - 1.0
-            if _rank(g_lo, tol) == _rank(g_hi, tol):
+            if _rank(g_lo) == _rank(g_hi):
                 return g_hi
         return eval_dF(edge, x) - 1.0
 
     return excess
 
 
-def _classify(params: MeanFieldParams, tol: float):
+def _classify(params: MeanFieldParams):
     """Regime of the edge-bias map plus the tangency point when it exists.
 
     Returns (regime, mu, psi_mu).  Nontrivial roots can only live in
@@ -529,8 +526,8 @@ def _classify(params: MeanFieldParams, tol: float):
     the regime is read off the sign of F(mu) - mu at the point where F' = 1.
 
     The search for mu reads only the class of each F'(x) - 1 (its sign and
-    whether it is within tol).  ``_dF_excess`` sets up the bias's test once,
-    and the test decides most classes in double arithmetic with a proven
+    whether it is within SOLVER_TOL).  ``_dF_excess`` sets up the bias's test
+    once, and the test decides most classes in double arithmetic with a proven
     error bound; only a value too close to a class boundary for that bound
     runs the exact anchor of ``eval_dF``.  mu is therefore the same double
     as with exact values throughout.
@@ -538,21 +535,20 @@ def _classify(params: MeanFieldParams, tol: float):
     p = params.p
     if p < 0.5:  # else 1/(2(1-p)) >= 1: no concave region, F convex on [0, 1]
         a = 0.5 / (1.0 - p)
-        g = _dF_excess(params, tol)
+        g = _dF_excess(params)
         g_a, g_1 = g(a), g(1.0)
         # A tangency point needs g_a > 0 > g_1.  If g_a <= 0, F' <= 1 on the
         # whole concave region while F(a) = 1/2 <= a, so F stays below the
         # diagonal; if g_1 >= 0, F' >= 1 throughout, so F - x increases up to
         # F(1) - 1 < 0.  Either way F has no nontrivial root.
         if g_a > 0.0 > g_1:
-            mu = _bisect(g, a, 1.0, g_a, g_1, tol)
+            mu = _bisect(g, a, 1.0, g_a, g_1)
             psi_mu = eval_F(params, mu) - mu
-            return _REGIME_BY_CLASS[_rank(psi_mu, tol)], mu, psi_mu
+            return _REGIME_BY_CLASS[_rank(psi_mu)], mu, psi_mu
     return Regime.SUPERCRITICAL, None, None
 
 
-def _phi_minus(edge: MeanFieldParams, tol: float, q: float | None = None,
-               scale: float = 1.0):
+def _phi_minus(edge: MeanFieldParams, q: float | None = None, scale: float = 1.0):
     """The edge-bias map's regime, tangency point mu, residual F(mu) - mu and
     unstable root phi_minus: all but the regime None when supercritical, and
     phi_minus = mu when critical.
@@ -563,7 +559,7 @@ def _phi_minus(edge: MeanFieldParams, tol: float, q: float | None = None,
     ``_bisect``): scale * phi_minus is then meaningful only as its side of
     q, which is the side of the full-precision root times scale.
     """
-    regime, mu, psi_mu = _classify(edge, tol)
+    regime, mu, psi_mu = _classify(edge)
     if regime is Regime.SUPERCRITICAL:
         return regime, None, None, None
     if regime is Regime.CRITICAL:
@@ -574,23 +570,23 @@ def _phi_minus(edge: MeanFieldParams, tol: float, q: float | None = None,
     if psi_a >= 0.0:
         return regime, mu, psi_mu, a
     psi = lambda x: eval_F(edge, x) - x
-    return regime, mu, psi_mu, _bisect(psi, a, mu, psi_a, psi_mu, tol, q, scale)
+    return regime, mu, psi_mu, _bisect(psi, a, mu, psi_a, psi_mu, q, scale)
 
 
-def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPointSet:
+def fixed_points(params: MeanFieldParams) -> FixedPointSet:
     """All solutions of F(x) = x (or Fhat(x) = x for node bias).
 
     0 is always a root.  Nontrivial roots are bracketed against the tangency
     point mu (F' is monotone on the concave region, so each bracket holds a
-    single sign change) and located by bisection; |F(root) - root| <= tol.
+    single sign change) and located by bisection; |F(root) - root| <= SOLVER_TOL.
     Node-bias sets are the edge-bias sets contracted by (1-p).
     """
     k, p = params.k, params.p
-    check_solver_args(k, tol)
+    check_solver_args(k)
     # the node-bias map is the edge-bias map contracted by its outer factor
     _, s = _contraction(params)
     edge = MeanFieldParams(k, p, BiasMode.EDGE)
-    regime, mu, psi_mu, phi_minus = _phi_minus(edge, tol)
+    regime, mu, psi_mu, phi_minus = _phi_minus(edge)
     if regime is Regime.SUPERCRITICAL:
         return FixedPointSet(Regime.SUPERCRITICAL, None, None, mu=None)
     if regime is Regime.CRITICAL:
@@ -598,7 +594,7 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
     psi = lambda x: eval_F(edge, x) - x
     psi_1 = psi(1.0)
     # boundary root: p = 0 puts phi+ exactly at 1
-    phi_plus = 1.0 if psi_1 >= 0.0 else _bisect(psi, mu, 1.0, psi_mu, psi_1, tol)
+    phi_plus = 1.0 if psi_1 >= 0.0 else _bisect(psi, mu, 1.0, psi_mu, psi_1)
     return FixedPointSet(Regime.SUBCRITICAL, s * phi_minus, s * phi_plus, mu=s * mu)
 
 
@@ -607,7 +603,7 @@ def fixed_points(params: MeanFieldParams, tol: float = DEFAULT_TOL) -> FixedPoin
 # ---------------------------------------------------------------------------
 
 
-def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> float:
+def critical_bias_k(k: int) -> float:
     """p*_k, the largest bias for which a nontrivial fixed point survives.
 
     Bisection on p over [1/9, 1/2]: below the answer the map is subcritical
@@ -615,71 +611,69 @@ def critical_bias_k(k: int, tol: float = DEFAULT_TOL) -> float:
     node-bias map is an axis contraction of the edge-bias map, which leaves
     existence of nontrivial roots unchanged).
 
-    ``tol`` bounds the width of the final bisection bracket and the residual
-    |F(mu) - mu| below which a probed bias counts as critical; it is not a
-    bound on |p - p*_k|.  A bias just above p*_k can still pass as critical,
-    so ``critical_bias_k(3, tol=1e-3)`` lies 1.14e-3 from 1/9.
+    ``SOLVER_TOL`` bounds the final bisection bracket and the residual
+    |F(mu) - mu| below which a probed bias counts as critical, not
+    |p - p*_k|: ``critical_bias_k(3)`` is 1.36e-10 above 1/9.
     """
-    check_solver_args(k, tol)
-    return _p_star_k(k, tol)
+    check_solver_args(k)
+    return _p_star_k(k)
 
 
-def critical_bias_kq(k: int, q: float, tol: float = DEFAULT_TOL,
-                     mode: BiasMode = BiasMode.EDGE) -> float:
+def critical_bias_kq(k: int, q: float, mode: BiasMode = BiasMode.EDGE) -> float:
     """p*_{k,q}, the critical bias under Bernoulli(q) initialization.
 
     The threshold is the largest p <= p*_k whose unstable root of the
     ``mode`` map stays at or below q: phi_minus(p) of the edge-bias map for
     edge bias, and (1-p) phi_minus(p) for node bias, whose roots are the
     edge roots contracted by 1-p (see ``fixed_points``).  Both increase in
-    p, so bisection on p applies.  q = 1 always gives p*_k itself.  ``tol``
-    bounds the final bracket of each bisection and the residuals of the
-    roots, as in ``critical_bias_k``, not the distance to the exact
-    thresholds.
+    p, so bisection on p applies.  q = 1 always gives p*_k itself.
+    ``SOLVER_TOL`` bounds the final bracket of each bisection and the
+    residuals of the roots, as in ``critical_bias_k``, not the distance to
+    the exact thresholds.
 
     Each probed bias bisects for mu, deciding each step as ``_classify``
     says, and then for phi_minus on exact values of F, stopping once the
     bracket times the map's outer factor lies on one side of q: the probe
     reads only that side, and it is the full-precision root's, so every bit
-    of the result is as with phi_minus solved to tol.
+    of the result is as with phi_minus solved to SOLVER_TOL.
     """
-    check_solver_args(k, tol, q)
+    check_solver_args(k, q)
     if not isinstance(mode, BiasMode):
         raise ValueError(f"mode must be a BiasMode, got {mode!r}")
-    return _p_star_kq(k, q, tol, mode)
+    return _p_star_kq(k, q, mode)
 
 
 @lru_cache(maxsize=None)
-def _p_star_k(k: int, tol: float) -> float:
+def _p_star_k(k: int) -> float:
     """The memo of p*_k, for arguments ``check_solver_args`` accepts."""
 
     def has_root(p: float) -> bool:
-        regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE), tol)
+        regime, _, _ = _classify(MeanFieldParams(k, p, BiasMode.EDGE))
         return regime is not Regime.SUPERCRITICAL
 
-    return _bisect_bias(has_root, 1.0 / 9.0, 0.5, tol)
+    return _bisect_bias(has_root, 1.0 / 9.0, 0.5)
 
 
 @lru_cache(maxsize=None)
-def _p_star_kq(k: int, q: float, tol: float, mode: BiasMode) -> float:
+def _p_star_kq(k: int, q: float, mode: BiasMode) -> float:
     """The memo of p*_{k,q}, for arguments ``critical_bias_kq`` accepts.  It
     reads p*_k from ``_p_star_k``, so p*_k is solved once for every q and
     mode."""
-    p_star = _p_star_k(k, tol)
+    p_star = _p_star_k(k)
 
     def phi_minus_within_q(p: float) -> bool:
         # solves phi_minus only, as fixed_points does, and only to the side
         # of q; phi_plus is not read.  s is the map's outer factor, 1.0 for
         # edge bias, where s * phi_minus == phi_minus.
         _, s = _contraction(MeanFieldParams(k, p, mode))
-        _, _, _, phi_minus = _phi_minus(MeanFieldParams(k, p, BiasMode.EDGE), tol, q, s)
+        _, _, _, phi_minus = _phi_minus(MeanFieldParams(k, p, BiasMode.EDGE), q, s)
         return phi_minus is not None and s * phi_minus <= q
 
     # Probe just inside the subcritical window: if even the largest phi_minus
     # stays below q, the q-threshold coincides with p_star_k.
-    if phi_minus_within_q(max(0.0, p_star - 2.0 * tol)):
+    if phi_minus_within_q(max(0.0, p_star - 2.0 * SOLVER_TOL)):
         return p_star
-    return _bisect_bias(phi_minus_within_q, 0.0, p_star, tol)
+    return _bisect_bias(phi_minus_within_q, 0.0, p_star)
 
 
 # ---------------------------------------------------------------------------

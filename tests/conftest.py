@@ -9,7 +9,9 @@ import pytest
 def cold_memos():
     """Each test starts from empty package memos, as each benchmark round
     does, so no test reads a value an earlier one left cached (a module not
-    yet imported has none)."""
+    yet imported has none).  The solver memos are keyed without the solver
+    tolerance, so a test that sets ``meanfield.SOLVER_TOL`` also relies on
+    this."""
     for name, module in list(sys.modules.items()):
         if name == "kmajority" or name.startswith("kmajority."):
             for value in vars(module).values():

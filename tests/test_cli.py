@@ -106,15 +106,17 @@ class TestCriticalCommand:
         assert code == 2
         assert "odd" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("q", [None, "0.6"])
-    def test_tol_above_cap_exits_2_before_solving(self, capsys, count_calls, q):
-        # --tol 1 printed p*_3 = 0.3056, the first bracket's midpoint, and
-        # exited 0; the true value is 1/9
+    @pytest.mark.parametrize("argv", [
+        ("critical", "--k", "3", "--tol", "1e-3"),
+        ("meanfield", "--k", "3", "--p", "0.05", "--tol", "1e-3"),
+    ], ids=" ".join)
+    def test_tol_flag_exits_2_before_solving(self, capsys, count_calls, argv):
+        # the solver tolerance is fixed; the document still reports it
         solves = count_calls(meanfield, "_classify")
-        argv = ["critical", "--k", "3", "--tol", "1"] + (["--q", q] if q else [])
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, solves) == (2, "", [])
-        assert "at most 0.001" in json.loads(err)["error"]
+        assert "unrecognized arguments: --tol" in json.loads(err)["error"]
+        assert run_json(capsys, *argv[:-2])["tolerance"] == 1e-10
 
     def test_k_above_cap_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "critical", "--k", "10001")
@@ -667,9 +669,7 @@ class TestCLIPlumbing:
     @pytest.mark.parametrize("argv", [
         ("meanfield", "--k", "3", "--p"),
         ("meanfield", "--k", "4", "--p", "0.1", "--q0"),
-        ("meanfield", "--k", "3", "--p", "0.1", "--tol"),
         ("critical", "--k", "3", "--q"),
-        ("critical", "--k", "3", "--tol"),
         ("simulate", "--graph", "complete:n=50", "--k", "3", "--p"),
         ("simulate", "--graph", "complete:n=50", "--k", "3", "--p", "0.1", "--q"),
         ("compare", "--graph", "complete:n=50", "--k", "3", "--p"),
@@ -677,26 +677,12 @@ class TestCLIPlumbing:
         ("compare", "--graph", "complete:n=50", "--k", "3", "--p", "0.1", "--gamma"),
     ], ids=" ".join)
     def test_non_finite_float_flag_exits_2(self, capsys, argv, value):
-        # critical --tol inf printed a wrong p*_3 and compare --gamma inf a
-        # document with a non-JSON Infinity, both with exit 0
+        # compare --gamma inf printed a document with a non-JSON Infinity
+        # and exited 0
         *args, flag = argv
         code, out, err = run_cli(capsys, *args, f"{flag}={value}")
         assert (code, out) == (2, "")
         assert f"argument {flag}" in json.loads(err)["error"]
-
-    @pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
-    @pytest.mark.parametrize("argv", [
-        ("meanfield", "--k", "3", "--p", "0.1"),
-        ("meanfield", "--k", "4", "--p", "0.1", "--q0", "0.9"),
-        ("meanfield", "--k", "1", "--p", "0.1", "--q0", "0.9"),
-        ("critical", "--k", "3"),
-        ("critical", "--k", "3", "--q", "0.6"),
-    ], ids=" ".join)
-    def test_non_positive_tol_exits_2(self, capsys, argv, value):
-        # meanfield --k 4 ... --tol -1 used to exit 0 and print the tolerance
-        code, out, err = run_cli(capsys, *argv, f"--tol={value}")
-        assert (code, out) == (2, "")
-        assert "argument --tol" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("case", sorted(UP_FRONT_REJECTIONS))
     def test_out_of_range_flag_does_no_work(self, capsys, count_calls, case):

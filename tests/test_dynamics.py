@@ -65,6 +65,15 @@ class TestParams:
         with pytest.raises(ValueError, match="integer"):
             DynamicsParams(**{"family": Family.KMAJORITY, "p": 0.1, "k": 3, **field})
 
+    @pytest.mark.parametrize("p", [True, False, "0.1", None, np.True_], ids=repr)
+    def test_p_takes_only_real_numbers(self, p):
+        with pytest.raises(ValueError, match="bias p"):
+            DynamicsParams(family=Family.KMAJORITY, p=p, k=3)
+
+    @pytest.mark.parametrize("p", [0, 1, 0.1, np.float64(0.1), np.float32(0.1)], ids=repr)
+    def test_p_takes_ints_and_floats(self, p):
+        assert DynamicsParams(family=Family.KMAJORITY, p=p, k=3).p == p
+
     def test_default_max_rounds(self):
         assert default_max_rounds(2000) == int(10 * math.log(2000)) + 200
 

@@ -163,6 +163,16 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_spec(**field)
 
+    @pytest.mark.parametrize("grid", [
+        {"p_values": (False,)}, {"p_values": (0.05, True)}, {"q_values": (True,)},
+        {"q_values": (1.0, False)}, {"q_values": ("0.9",)},
+    ], ids=repr)
+    def test_grid_values_are_real_numbers(self, grid):
+        # p_values=(False,), q_values=(True,) ran and wrote "p_grid": [false]
+        # and "q": true to summary.json
+        with pytest.raises(ValueError):
+            small_spec(**grid)
+
     def test_per_cell_graphs(self):
         spec = small_spec(
             graph_spec=GraphSpec(GraphKind.GNP, n=150, edge_prob=0.4, seed=1),

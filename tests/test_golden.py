@@ -15,8 +15,8 @@ import pytest
 
 from oracles import eval_d2F
 
+from kmajority import meanfield
 from kmajority.cli import main
-
 from kmajority.meanfield import (
     BiasMode,
     MeanFieldParams,
@@ -104,9 +104,10 @@ Q_TOLERANCE = {
 
 
 @pytest.mark.parametrize("case", sorted(Q_TOLERANCE))
-def test_critical_bias_kq_tolerance(case):
+def test_critical_bias_kq_tolerance(case, monkeypatch):
     k, q, tol = case.split("|")
-    assert critical_bias_kq(int(k), float(q), float(tol)).hex() == Q_TOLERANCE[case]
+    monkeypatch.setattr(meanfield, "SOLVER_TOL", float(tol))
+    assert critical_bias_kq(int(k), float(q)).hex() == Q_TOLERANCE[case]
 
 
 # k|p|mode -> float.hex of the tangency point mu (node mode reports it contracted)

@@ -94,6 +94,16 @@ class TestGenerate:
         sigma = math.sqrt(999 * 0.25 / 1000)
         assert abs(mean - 499.5) < 3 * sigma + 1.5
 
+    @pytest.mark.parametrize("edge_prob", [True, "0.5", np.True_], ids=repr)
+    def test_gnp_edge_prob_is_a_real_number(self, edge_prob):
+        # edge_prob=True built G(n, 1)
+        with pytest.raises(ValueError, match="edge probability"):
+            GraphSpec(GraphKind.GNP, n=10, edge_prob=edge_prob)
+
+    @pytest.mark.parametrize("edge_prob", [1, 0.5, np.float64(0.5)], ids=repr)
+    def test_gnp_edge_prob_takes_ints_and_floats(self, edge_prob):
+        assert GraphSpec(GraphKind.GNP, n=10, edge_prob=edge_prob).edge_prob == edge_prob
+
     def test_random_regular(self):
         g = generate(GraphSpec(GraphKind.RANDOM_REGULAR, n=100, degree=10, seed=1))
         assert_valid(g)

@@ -565,7 +565,7 @@ class TestFixedPoints:
     def test_residuals_and_interval(self):
         for k, p in [(3, 0.05), (5, 0.12), (101, 0.3)]:
             params = MeanFieldParams(k, p, EDGE)
-            fp = fixed_points(params, tol=1e-10)
+            fp = fixed_points(params)
             lo = 0.5 / (1.0 - p)
             for root in (fp.phi_minus, fp.phi_plus):
                 assert abs(eval_F(params, root) - root) <= 1e-10
@@ -574,7 +574,7 @@ class TestFixedPoints:
     def test_mu_bracketing(self):
         for k, p in [(3, 0.05), (5, 0.1), (9, 0.2)]:
             params = MeanFieldParams(k, p, EDGE)
-            fp = fixed_points(params, tol=1e-10)
+            fp = fixed_points(params)
             assert fp.regime is Regime.SUBCRITICAL
             assert fp.phi_minus < fp.mu < fp.phi_plus
             assert eval_dF(params, fp.mu) == pytest.approx(1.0, abs=1e-10)
@@ -584,8 +584,6 @@ class TestFixedPoints:
             fixed_points(MeanFieldParams(4, 0.1, EDGE))
         with pytest.raises(ValueError):
             fixed_points(MeanFieldParams(1, 0.1, EDGE))
-        with pytest.raises(ValueError):
-            fixed_points(MeanFieldParams(3, 0.1, EDGE), tol=0.0)
         with pytest.raises(ValueError):
             MeanFieldParams(3, -0.1, EDGE)
         with pytest.raises(ValueError):
@@ -685,30 +683,6 @@ class TestCriticalBias:
         with pytest.raises(ValueError):
             critical_bias_kq(3, 1.2)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan])
-    def test_rejects_non_finite_tolerance(self, tol):
-        # tol = inf gave p*_3 = 0.3056 and called k=3, p=0.05 critical;
-        # tol = nan gave p*_{3,0.6} = 0.1111 (the true value is 0.0549)
-        for solve in (lambda: critical_bias_k(3, tol=tol),
-                      lambda: critical_bias_kq(3, 0.6, tol=tol),
-                      lambda: fixed_points(MeanFieldParams(3, 0.05, EDGE), tol=tol)):
-            with pytest.raises(ValueError, match="finite"):
-                solve()
-
-    @pytest.mark.parametrize("tol", [1.0, 0.5, 0.002])
-    def test_rejects_tolerance_above_cap(self, tol):
-        # tol = 1 returned the first bracket's midpoint, p*_3 = 0.3056
-        # against the true 1/9, without a single bisection step
-        for solve in (lambda: critical_bias_k(3, tol=tol),
-                      lambda: critical_bias_kq(3, 0.6, tol=tol),
-                      lambda: fixed_points(MeanFieldParams(3, 0.05, EDGE), tol=tol)):
-            with pytest.raises(ValueError, match="at most 0.001"):
-                solve()
-
-    def test_tolerance_at_cap_solves(self):
-        # two significant digits of p*_3 = 1/9
-        assert round(critical_bias_k(3, tol=1e-3), 2) == 0.11
-
     def test_p_star_k_solved_once_for_every_q(self):
         critical_bias_kq(7, 0.6)
         critical_bias_kq(7, 0.75, mode=NODE)
@@ -724,14 +698,13 @@ class TestCriticalBias:
         # an untyped lru_cache finds the warm entry of k = 3 for k = 3.0
         critical_bias_k(3)
         for solve in (lambda: critical_bias_k(3.0), lambda: critical_bias_k(np.int64(3)),
-                      lambda: critical_bias_k(3, tol=1.0),
                       lambda: critical_bias_kq(3.0, 0.6), lambda: critical_bias_kq(3, 0.5)):
             with pytest.raises(ValueError):
                 solve()
 
 
-def _exact_excess_rank(params, x, tol):
-    return meanfield._rank(eval_dF(params, x) - 1.0, tol)
+def _exact_excess_rank(params, x):
+    return meanfield._rank(eval_dF(params, x) - 1.0)
 
 
 def _tangency_to_the_ulp(params):
@@ -752,11 +725,11 @@ class TestCertifiedDecisions:
     certified in double arithmetic must be the class of the exact value."""
 
     def test_rank_orders_the_classes(self):
-        tol = 1e-10
+        tol = meanfield.SOLVER_TOL
         values = [-1.0, -tol, -1e-300, 0.0, 1e-300, tol, 1.0]
-        assert [meanfield._rank(g, tol) for g in values] == [0, 1, 1, 2, 3, 3, 4]
+        assert [meanfield._rank(g) for g in values] == [0, 1, 1, 2, 3, 3, 4]
 
-    def test_class_matches_exact_on_a_seeded_grid(self, count_calls):
+    def test_class_matches_exact_on_a_seeded_grid(self, count_calls, monkeypatch):
         rng = random.Random(20181)
         exact = count_calls(meanfield, "eval_dF")
         cases = 0
@@ -766,9 +739,10 @@ class TestCertifiedDecisions:
                 a = 0.5 / (1.0 - p)
                 xs = [a, 1.0] + [rng.uniform(a, 1.0) for _ in range(6)]
                 for tol in (1e-10, 1e-3):
+                    monkeypatch.setattr(meanfield, "SOLVER_TOL", tol)
                     for x in xs:
-                        got = meanfield._rank(meanfield._dF_excess(params, tol)(x), tol)
-                        assert got == _exact_excess_rank(params, x, tol), (k, p, x, tol)
+                        got = meanfield._rank(meanfield._dF_excess(params)(x))
+                        assert got == _exact_excess_rank(params, x), (k, p, x, tol)
                         cases += 1
         assert cases == 14 * 6 * 2 * 8
         # both paths ran; x = 1 at p = 0 puts u at 1, which always runs the
@@ -785,8 +759,8 @@ class TestCertifiedDecisions:
             xs = [math.nextafter(xs[0], 0.0)] + xs + [math.nextafter(xs[-1], 2.0)]
         exact = count_calls(meanfield, "eval_dF")
         for x in xs:
-            got = meanfield._rank(meanfield._dF_excess(params, 1e-10)(x), 1e-10)
-            assert got == _exact_excess_rank(params, x, 1e-10), x
+            got = meanfield._rank(meanfield._dF_excess(params)(x))
+            assert got == _exact_excess_rank(params, x), x
         # F'(x) - 1 changes sign between lo and hi, within the estimate's
         # error bound of 0, so both run the exact anchor
         assert {x for _, x in exact} >= {lo, hi}
@@ -806,14 +780,20 @@ class TestCertifiedDecisions:
         assert len(exact) <= 10
 
 
-def _phi_minus_grid():
-    """(edge params, tol) over a seeded grid of subcritical biases."""
+def _phi_minus_grid(monkeypatch):
+    """(edge params, tol) over a seeded grid of subcritical biases, with
+    ``SOLVER_TOL`` set to tol while the pair is in use; the biases are drawn
+    before any tolerance is set."""
     rng = random.Random(20231)
+    grid = []
     for k in (3, 5, 17, 65, 257):
         p_star = critical_bias_k(k)
-        for p in [0.0] + sorted(rng.uniform(0.0, 0.98 * p_star) for _ in range(4)):
-            for tol in (1e-10, 1e-5):
-                yield MeanFieldParams(k, p, EDGE), tol
+        grid += [(k, p) for p in [0.0] + sorted(rng.uniform(0.0, 0.98 * p_star)
+                                              for _ in range(4))]
+    for k, p in grid:
+        for tol in (1e-10, 1e-5):
+            monkeypatch.setattr(meanfield, "SOLVER_TOL", tol)
+            yield MeanFieldParams(k, p, EDGE), tol
 
 
 # sha256 of the float.hex of each full-precision phi_minus over _phi_minus_grid
@@ -824,14 +804,14 @@ class TestPhiMinusQStop:
     """The q-threshold predicate reads only phi_minus <= q, so the phi_minus
     bisection given q may stop once its bracket lies on one side of q."""
 
-    def test_side_of_q_matches_full_precision(self):
+    def test_side_of_q_matches_full_precision(self, monkeypatch):
         rng = random.Random(20232)
         digest = hashlib.sha256()
         cases = 0
-        for edge, tol in _phi_minus_grid():
-            regime, mu, _, phi_minus = meanfield._phi_minus(edge, tol)
+        for edge, tol in _phi_minus_grid(monkeypatch):
+            regime, mu, _, phi_minus = meanfield._phi_minus(edge)
             assert regime is not Regime.SUPERCRITICAL, edge
-            assert fixed_points(edge, tol).phi_minus == phi_minus
+            assert fixed_points(edge).phi_minus == phi_minus
             digest.update(phi_minus.hex().encode())
             a = 0.5 / (1.0 - edge.p)
             first_mid = 0.5 * (a + mu)  # a bracket end lands exactly on q
@@ -839,23 +819,23 @@ class TestPhiMinusQStop:
                   math.nextafter(phi_minus, 0.0), math.nextafter(phi_minus, 2.0)]
             qs += [rng.uniform(0.5, 1.0) for _ in range(4)]
             for q in qs:
-                got = meanfield._phi_minus(edge, tol, q)[3]
+                got = meanfield._phi_minus(edge, q)[3]
                 assert (got <= q) == (phi_minus <= q), (edge, tol, q)
                 cases += 1
         assert cases == 5 * 5 * 2 * 11
         assert digest.hexdigest() == PHI_MINUS_GRID_SHA256
 
-    def test_scaled_side_of_q_matches_full_precision(self):
+    def test_scaled_side_of_q_matches_full_precision(self, monkeypatch):
         # node bias reads (1-p) phi_minus <= q, and the stop tests that product
         rng = random.Random(20233)
-        for edge, tol in _phi_minus_grid():
-            phi_minus = meanfield._phi_minus(edge, tol)[3]
+        for edge, tol in _phi_minus_grid(monkeypatch):
+            phi_minus = meanfield._phi_minus(edge)[3]
             s = 1.0 - edge.p
             node = s * phi_minus
             qs = [node, math.nextafter(node, 0.0), math.nextafter(node, 2.0)]
             qs += [rng.uniform(0.5, 1.0) for _ in range(4)]
             for q in qs:
-                got = meanfield._phi_minus(edge, tol, q, s)[3]
+                got = meanfield._phi_minus(edge, q, s)[3]
                 assert (s * got <= q) == (node <= q), (edge, tol, q)
 
     def test_q_stop_cuts_map_evaluations(self, count_calls):
@@ -925,3 +905,13 @@ class TestMeanFieldParams:
         # k=True used to pass isinstance(k, int) and run as k=1
         with pytest.raises(ValueError, match="sample size k"):
             MeanFieldParams(k, 0.1, EDGE)
+
+    @pytest.mark.parametrize("p", [True, False, "0.1", None, np.True_], ids=repr)
+    def test_p_takes_only_real_numbers(self, p):
+        # p=False ran as p = 0, and p="0.1" raised a TypeError
+        with pytest.raises(ValueError, match="bias p"):
+            MeanFieldParams(3, p, EDGE)
+
+    @pytest.mark.parametrize("p", [0, 1, 0.1, np.float64(0.1), np.float32(0.1)], ids=repr)
+    def test_p_takes_ints_and_floats(self, p):
+        assert MeanFieldParams(3, p, EDGE).p == p
